@@ -4,6 +4,8 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <system_error>
+#include <thread>
 #include <tuple>
 
 #include "common/rng.hh"
@@ -60,24 +62,23 @@ namespace
 
 using EdgeList = std::vector<std::pair<Vertex, Vertex>>;
 
-/** One RMAT edge draw with recursive quadrant selection. */
+/**
+ * One RMAT edge draw with recursive quadrant selection: r < a picks
+ * top-left (no bit), then top-right (dst), bottom-left (src) and
+ * bottom-right (both). Branch-free, since the quadrant is unpredictable.
+ */
 std::pair<Vertex, Vertex>
 rmatEdge(Rng &rng, unsigned scale, double a, double b, double c)
 {
+    const double ab = a + b;
+    const double abc = a + b + c;
     Vertex src = 0;
     Vertex dst = 0;
     for (unsigned bit = 0; bit < scale; ++bit) {
         double r = rng.uniform();
-        if (r < a) {
-            // top-left: neither bit set
-        } else if (r < a + b) {
-            dst |= Vertex{1} << bit;
-        } else if (r < a + b + c) {
-            src |= Vertex{1} << bit;
-        } else {
-            src |= Vertex{1} << bit;
-            dst |= Vertex{1} << bit;
-        }
+        src |= static_cast<Vertex>(r >= ab) << bit;
+        dst |= static_cast<Vertex>((r >= a) & ((r < ab) | (r >= abc)))
+            << bit;
     }
     return {src, dst};
 }
@@ -172,24 +173,79 @@ genRoad(Rng &rng, Vertex side)
     return edges;
 }
 
-/** Symmetrize an edge list and pack it into CSR form. */
+/** Edge lists at least this long are packed by several threads. */
+constexpr std::size_t kParallelCsrEdges = std::size_t{1} << 20;
+constexpr unsigned kMaxCsrThreads = 8;
+
+/**
+ * Split vertices [0, n) into @p shards contiguous ranges and run
+ * fn(lo, span) on each concurrently, covering [lo, lo + span). A shard
+ * whose thread cannot be started runs inline instead.
+ */
+template <typename Fn>
+void
+forEachVertexShard(Vertex n, unsigned shards, const Fn &fn)
+{
+    auto run = [&](unsigned t) {
+        auto first = [&](unsigned s) {
+            return static_cast<Vertex>(std::uint64_t{n} * s / shards);
+        };
+        fn(first(t), first(t + 1) - first(t));
+    };
+    std::vector<std::thread> pool;
+    pool.reserve(shards);
+    for (unsigned t = 1; t < shards; ++t) {
+        try {
+            pool.emplace_back(run, t);
+        } catch (const std::system_error &) {
+            run(t);
+        }
+    }
+    run(0);
+    for (auto &th : pool)
+        th.join();
+}
+
+/**
+ * Symmetrize an edge list and pack it into CSR form.
+ *
+ * Each shard owns a vertex range and scans the whole edge list in order,
+ * counting and then filling only its own vertices. Every adjacency list
+ * therefore keeps edge-list order, and the graph is the same at any
+ * shard count. offsets doubles as the fill cursor, which leaves
+ * offsets[v] at the end of v's list; one shift restores it.
+ */
 Graph
 buildCsr(Vertex n, const EdgeList &edges)
 {
+    const unsigned shards = edges.size() < kParallelCsrEdges
+        ? 1
+        : std::clamp(std::thread::hardware_concurrency(), 1u,
+                     kMaxCsrThreads);
     Graph g;
     g.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-    for (const auto &[u, v] : edges) {
-        ++g.offsets[u + 1];
-        ++g.offsets[v + 1];
-    }
+    forEachVertexShard(n, shards, [&](Vertex lo, Vertex span) {
+        for (const auto &[u, v] : edges) {
+            if (u - lo < span)
+                ++g.offsets[u + 1];
+            if (v - lo < span)
+                ++g.offsets[v + 1];
+        }
+    });
     for (std::size_t i = 1; i < g.offsets.size(); ++i)
         g.offsets[i] += g.offsets[i - 1];
     g.neighbors.resize(g.offsets.back());
-    std::vector<std::uint64_t> cursor(g.offsets.begin(), g.offsets.end() - 1);
-    for (const auto &[u, v] : edges) {
-        g.neighbors[cursor[u]++] = v;
-        g.neighbors[cursor[v]++] = u;
-    }
+    forEachVertexShard(n, shards, [&](Vertex lo, Vertex span) {
+        for (const auto &[u, v] : edges) {
+            if (u - lo < span)
+                g.neighbors[g.offsets[u]++] = v;
+            if (v - lo < span)
+                g.neighbors[g.offsets[v]++] = u;
+        }
+    });
+    std::copy_backward(g.offsets.begin(), g.offsets.end() - 2,
+                       g.offsets.end() - 1);
+    g.offsets[0] = 0;
     return g;
 }
 

@@ -68,6 +68,10 @@ const char *toString(GraphKind k);
 /**
  * Build a graph of roughly 2^scale vertices and avg_degree directed edges
  * per vertex (after symmetrization). Deterministic in @p seed.
+ *
+ * Graphs of 2^20 edges or more are packed into CSR by up to 8 host
+ * threads; the output does not depend on the thread count. Smaller
+ * graphs are built on the calling thread alone.
  */
 Graph makeGraph(GraphKind kind, unsigned scale, unsigned avg_degree,
                 std::uint64_t seed);

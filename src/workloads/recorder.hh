@@ -19,6 +19,7 @@
 #ifndef TLPSIM_WORKLOADS_RECORDER_HH
 #define TLPSIM_WORKLOADS_RECORDER_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "trace/trace.hh"
@@ -57,7 +58,8 @@ class TraceRecorder
     TraceRecorder(Trace &out, const Options &opt)
         : trace_(&out), max_instrs_(opt.max_instrs), brk_(opt.heap_base)
     {
-        trace_->reserve(opt.max_instrs);
+        // At most 2^22 records (128 MiB) up front; longer traces grow.
+        trace_->reserve(std::min(opt.max_instrs, std::uint64_t{1} << 22));
     }
 
     /** True once max_instrs records have been emitted; kernels must stop. */

@@ -11,6 +11,9 @@
  *   - two ResultStore writers racing on one store directory (the
  *     documented "two sweep shards on one store" contract:
  *     write-temp-then-rename, last-writer-wins, both rows valid);
+ *   - the threaded CSR build of graphs above its parallel threshold,
+ *     with serial-build golden digests as the oracle, and four
+ *     GraphCache getters racing on one such graph;
  *   - watchdog expiry and cross-thread cancellation concurrent with
  *     Simulator::run's 64 Ki-cycle polling, including the thread_local
  *     independence of the watchdog state and the CancelFlag
@@ -29,12 +32,15 @@
 #include <string>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/watchdog.hh"
 #include "sim/runner.hh"
 #include "store/result_store.hh"
+#include "workloads/graph.hh"
 #include "workloads/workload.hh"
+#include "test_util.hh"
 
 using namespace tlpsim;
 using namespace tlpsim::experiment;
@@ -323,6 +329,60 @@ TEST(RunnerConcurrency, RequestCancelUnwindsRunningJobs)
         }
     }
     EXPECT_EQ(cancelled, 6);
+}
+
+// --------------------------------------------------------------------------
+// Threaded CSR build of large graphs
+// --------------------------------------------------------------------------
+
+/**
+ * Scale 19 is the smallest scale at which every generator's edge list
+ * crosses the threaded-build threshold. The digests were recorded from
+ * the serial build, so these pin both the bit-identity of the threaded
+ * fill and, under TSan, its freedom from data races.
+ */
+TEST(GraphConcurrency, ThreadedBuildMatchesSerialDigests)
+{
+    using workloads::GraphKind;
+    const std::pair<GraphKind, std::uint64_t> golden[] = {
+        {GraphKind::Web, 0xe7517d8a5a40c828ull},
+        {GraphKind::Road, 0x579794f7344b7150ull},
+        {GraphKind::Twitter, 0x410f5cdef5aaed73ull},
+        {GraphKind::Kron, 0x1b18bba5078a125aull},
+        {GraphKind::Urand, 0x8596e113e7e3bb8eull},
+    };
+    for (const auto &[kind, want] : golden) {
+        EXPECT_EQ(test::graphDigest(workloads::makeGraph(kind, 19, 8, 42)),
+                  want)
+            << workloads::toString(kind);
+    }
+}
+
+TEST(GraphConcurrency, CacheGettersShareOneThreadedBuild)
+{
+    // Four getters race on one cold key; one builds (spawning its own
+    // CSR threads) while the others wait, and all share the result.
+    workloads::GraphCache::clear();
+    constexpr int kGetters = 4;
+    std::vector<const workloads::Graph *> seen(kGetters, nullptr);
+    std::vector<std::thread> threads;
+    threads.reserve(kGetters);
+    for (int i = 0; i < kGetters; ++i)
+        threads.emplace_back([&seen, i] {
+            seen[static_cast<std::size_t>(i)] =
+                workloads::GraphCache::get(workloads::GraphKind::Urand, 19,
+                                           8, 42)
+                    .get();
+        });
+    for (auto &t : threads)
+        t.join();
+    for (int i = 1; i < kGetters; ++i)
+        EXPECT_EQ(seen[static_cast<std::size_t>(i)], seen[0]);
+    auto g = workloads::GraphCache::get(workloads::GraphKind::Urand, 19, 8,
+                                        42);
+    EXPECT_EQ(g.get(), seen[0]);
+    EXPECT_EQ(test::graphDigest(*g), 0x8596e113e7e3bb8eull);
+    workloads::GraphCache::clear();
 }
 
 // --------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "workloads/recorder.hh"
 #include "workloads/spec_kernels.hh"
 #include "workloads/workload.hh"
+#include "test_util.hh"
 
 using namespace tlpsim;
 using namespace tlpsim::workloads;
@@ -209,6 +210,22 @@ TEST_P(GraphKindTest, DeterministicInSeed)
     Graph b = makeGraph(GetParam(), 9, 6, 7);
     EXPECT_EQ(a.offsets, b.offsets);
     EXPECT_EQ(a.neighbors, b.neighbors);
+}
+
+/** Golden content of every generator (scale 10, degree 8, seed 42),
+ *  recorded from the serial CSR build: a changed digest means a changed
+ *  graph, and so changed traces and figure tables. */
+TEST_P(GraphKindTest, GoldenDigest)
+{
+    std::uint64_t want = 0;
+    switch (GetParam()) {
+      case GraphKind::Web: want = 0x5866926fb857e47dull; break;
+      case GraphKind::Road: want = 0x57803a206aea5a45ull; break;
+      case GraphKind::Twitter: want = 0x2425f23b9ba89941ull; break;
+      case GraphKind::Kron: want = 0xa05edd19d5ac407aull; break;
+      case GraphKind::Urand: want = 0xb65a062c8eb4eb37ull; break;
+    }
+    EXPECT_EQ(test::graphDigest(makeGraph(GetParam(), 10, 8, 42)), want);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,15 +2,17 @@
  * @file
  * Shared test scaffolding: a scriptable lower-level memory backend, a
  * completion-capturing client, and a clock helper for driving cache/DRAM
- * units in isolation.
+ * units in isolation; a content digest for pinning generated graphs.
  */
 
 #ifndef TLPSIM_TESTS_TEST_UTIL_HH
 #define TLPSIM_TESTS_TEST_UTIL_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "mem/packet.hh"
+#include "workloads/graph.hh"
 
 namespace tlpsim::test
 {
@@ -120,6 +122,24 @@ runFor(Cycle start, Cycle cycles, Units &...units)
     for (Cycle c = start; c < start + cycles; ++c)
         (units.tick(c), ...);
     return start + cycles;
+}
+
+/** FNV-1a over a graph's offsets then neighbors, little-endian bytes. */
+inline std::uint64_t
+graphDigest(const workloads::Graph &g)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t x, unsigned bytes) {
+        for (unsigned i = 0; i < bytes; ++i) {
+            h ^= (x >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (std::uint64_t o : g.offsets)
+        mix(o, 8);
+    for (workloads::Vertex v : g.neighbors)
+        mix(v, 4);
+    return h;
 }
 
 } // namespace tlpsim::test
