@@ -645,7 +645,7 @@ run(const Options &o)
         for (const std::string &name : o.schemes)
             push_scheme(SchemeConfig::fromName(name));
     } else if (o.sweep) {
-        push_scheme(SchemeConfig::baseline());
+        push_scheme(SchemeConfig::fromName("baseline"));
         for (const SchemeConfig &s : SchemeConfig::paperSchemes())
             push_scheme(s);
     } else {

@@ -48,7 +48,7 @@ OffChipPredictor::OffChipPredictor(const Params &p, StatGroup *stats)
 
 // predictLoad/train run once per load (the paper's per-access FLP
 // consult-and-train path); no allocation allowed here
-// (tools/hotpath_lint.py).
+// (tlpsim-audit hotpath check).
 // tlpsim:hot
 
 OffChipPredictor::Decision

@@ -222,31 +222,19 @@ SchemeConfig::names()
     return out;
 }
 
-SchemeConfig SchemeConfig::baseline() { return fromName("baseline"); }
-SchemeConfig SchemeConfig::ppfScheme() { return fromName("ppf"); }
-SchemeConfig SchemeConfig::hermes() { return fromName("hermes"); }
-SchemeConfig SchemeConfig::hermesPpf() { return fromName("hermes+ppf"); }
-SchemeConfig SchemeConfig::tlp() { return fromName("tlp"); }
-SchemeConfig SchemeConfig::flpOnly() { return fromName("flp"); }
-SchemeConfig SchemeConfig::slpOnly() { return fromName("slp"); }
-SchemeConfig SchemeConfig::tsp() { return fromName("tsp"); }
-SchemeConfig SchemeConfig::delayedTsp() { return fromName("delayed_tsp"); }
-SchemeConfig SchemeConfig::selectiveTsp()
-{
-    return fromName("selective_tsp");
-}
-SchemeConfig SchemeConfig::hermesPlus7kb() { return fromName("hermes+7kb"); }
-
 std::vector<SchemeConfig>
 SchemeConfig::paperSchemes()
 {
-    return {ppfScheme(), hermes(), hermesPpf(), tlp()};
+    return {fromName("ppf"), fromName("hermes"), fromName("hermes+ppf"),
+            fromName("tlp")};
 }
 
 std::vector<SchemeConfig>
 SchemeConfig::ablationSchemes()
 {
-    return {flpOnly(), slpOnly(), tsp(), delayedTsp(), selectiveTsp(), tlp()};
+    return {fromName("flp"), fromName("slp"), fromName("tsp"),
+            fromName("delayed_tsp"), fromName("selective_tsp"),
+            fromName("tlp")};
 }
 
 SchemeConfig

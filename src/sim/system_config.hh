@@ -79,21 +79,6 @@ struct SchemeConfig
     /** Sorted names of every shipped scheme preset. */
     static std::vector<std::string> names();
 
-    // Deprecated preset accessors (shims over fromName).
-    static SchemeConfig baseline();
-    static SchemeConfig ppfScheme();       ///< PPF over aggressive SPP
-    static SchemeConfig hermes();          ///< Hermes (immediate)
-    static SchemeConfig hermesPpf();       ///< Hermes + PPF
-    static SchemeConfig tlp();             ///< FLP selective + SLP (+feature)
-    // Fig. 15 ablation points
-    static SchemeConfig flpOnly();         ///< FLP w/o selective delay
-    static SchemeConfig slpOnly();         ///< SLP w/o FLP
-    static SchemeConfig tsp();             ///< FLP immediate + SLP w/o feature
-    static SchemeConfig delayedTsp();      ///< always-delay + SLP w/o feature
-    static SchemeConfig selectiveTsp();    ///< selective + SLP w/o feature
-    // Fig. 17
-    static SchemeConfig hermesPlus7kb();
-
     /** The four comparison points of Figs. 10-14. */
     static std::vector<SchemeConfig> paperSchemes();
 

@@ -95,6 +95,22 @@ def golden_cases():
     ]))
     cases.append((fixture("reset-clean"), 0, []))
 
+    fx = fixture("hotpath-violation")
+    new_line = line_with(fx, "src/core/hot.cc", "new int(v)")
+    grow_line = line_with(fx, "src/core/hot.cc", "log.push_back(v);")
+    open_line = line_with(fx, "src/core/open.cc", "// tlpsim:hot")
+    cases.append((fx, 1, [
+        f"src/core/hot.cc:{new_line}: error: [hotpath] "
+        f"operator new in hot region",
+        f"src/core/hot.cc:{grow_line}: error: [hotpath] "
+        f"container growth in hot region (waive with "
+        f"`// tlpsim:waive(hotpath) <reason>` once capacity is reserved "
+        f"or pooled)",
+        f"src/core/open.cc:{open_line}: error: [hotpath] "
+        f"`tlpsim:hot` region never closed with `tlpsim:endhot`",
+    ]))
+    cases.append((fixture("hotpath-clean"), 0, []))
+
     return cases
 
 

@@ -119,14 +119,22 @@ TEST(SchemeConfig, ElevenShippedPresets)
     EXPECT_EQ(SchemeConfig::names().size(), 11u);
 }
 
-TEST(SchemeConfig, FromNameMatchesDeprecatedAccessors)
+TEST(SchemeConfig, SchemeListsAreNamedPresets)
 {
-    EXPECT_EQ(SchemeConfig::fromName("tlp"), SchemeConfig::tlp());
-    EXPECT_EQ(SchemeConfig::fromName("baseline"), SchemeConfig::baseline());
-    EXPECT_EQ(SchemeConfig::fromName("hermes+ppf"),
-              SchemeConfig::hermesPpf());
-    EXPECT_EQ(SchemeConfig::fromName("delayed_tsp"),
-              SchemeConfig::delayedTsp());
+    auto names = [](const std::vector<SchemeConfig> &schemes) {
+        std::vector<std::string> out;
+        for (const SchemeConfig &s : schemes) {
+            EXPECT_EQ(s, SchemeConfig::fromName(s.name)) << s.name;
+            out.push_back(s.name);
+        }
+        return out;
+    };
+    EXPECT_EQ(names(SchemeConfig::paperSchemes()),
+              (std::vector<std::string>{"ppf", "hermes", "hermes+ppf",
+                                        "tlp"}));
+    EXPECT_EQ(names(SchemeConfig::ablationSchemes()),
+              (std::vector<std::string>{"flp", "slp", "tsp", "delayed_tsp",
+                                        "selective_tsp", "tlp"}));
 }
 
 TEST(SchemeConfig, UnknownNameListsValidNames)
@@ -163,7 +171,8 @@ TEST(SystemConfig, RoundTripsEveryScheme)
 TEST(SystemConfig, SchemeShorthandSelectsPreset)
 {
     Config c = Config::parse("scheme = tlp\n");
-    EXPECT_EQ(SystemConfig::fromConfig(c).scheme, SchemeConfig::tlp());
+    EXPECT_EQ(SystemConfig::fromConfig(c).scheme,
+              SchemeConfig::fromName("tlp"));
 
     // Explicit scheme.* keys override the preset.
     Config c2 = Config::parse("scheme = tlp\nscheme.tau_high = 11\n");
@@ -353,7 +362,7 @@ TEST(SystemConfig, PresetFileDesignPointMatchesBenchPath)
     SystemConfig bench_path = SystemConfig::cascadeLake(1);
     bench_path.warmup_instrs = 2'000;
     bench_path.sim_instrs = 6'000;
-    bench_path.scheme = SchemeConfig::tlp();
+    bench_path.scheme = SchemeConfig::fromName("tlp");
 
     EXPECT_EQ(experiment::configKey(cli_path),
               experiment::configKey(bench_path));

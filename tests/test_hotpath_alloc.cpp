@@ -9,11 +9,11 @@
  * cache/DRAM queues are reserved Rings/vectors, and MSHR/DRAM waiter
  * vectors recycle their capacity through pools.
  *
- * This is the runtime complement to tools/hotpath_lint.py, which bans
- * the same constructs statically inside `// tlpsim:hot` regions. The
- * counters are plain (non-atomic) because the whole test is
- * single-threaded; the override itself is process-global, so the test
- * lives in its own binary.
+ * This is the runtime complement to tlpsim-audit's `hotpath` check
+ * (tools/tlpsim_audit/checks/hotpath.py), which bans the same constructs
+ * statically inside `// tlpsim:hot` regions. The counters are plain
+ * (non-atomic) because the whole test is single-threaded; the override
+ * itself is process-global, so the test lives in its own binary.
  */
 
 #include <cstdint>
@@ -166,7 +166,8 @@ TEST(HotPathAlloc, CountersActuallyCount)
 
 TEST(HotPathAlloc, BaselineSchemeSteadyStateIsAllocationFree)
 {
-    EXPECT_EQ(steadyStateAllocs("mcf_pchase", SchemeConfig::baseline(),
+    EXPECT_EQ(steadyStateAllocs("mcf_pchase",
+                                SchemeConfig::fromName("baseline"),
                                 400'000, 100'000),
               0u);
 }
@@ -175,14 +176,14 @@ TEST(HotPathAlloc, TlpSchemeSteadyStateIsAllocationFree)
 {
     // The full paper scheme: FLP selective delay + SLP filtering +
     // IPCP/SPP prefetchers — the busiest per-cycle path in the system.
-    EXPECT_EQ(steadyStateAllocs("mcf_pchase", SchemeConfig::tlp(),
+    EXPECT_EQ(steadyStateAllocs("mcf_pchase", SchemeConfig::fromName("tlp"),
                                 400'000, 100'000),
               0u);
 }
 
 TEST(HotPathAlloc, GraphWorkloadSteadyStateIsAllocationFree)
 {
-    EXPECT_EQ(steadyStateAllocs("bfs.kron", SchemeConfig::tlp(),
+    EXPECT_EQ(steadyStateAllocs("bfs.kron", SchemeConfig::fromName("tlp"),
                                 400'000, 100'000),
               0u);
 }

@@ -264,7 +264,7 @@ TEST(KnobSchema, FilterAndOffchipKnobsRoundTrip)
 TEST(KnobSchema, FingerprintExpandsSchemaDefaults)
 {
     SystemConfig cfg = SystemConfig::cascadeLake(1);
-    cfg.scheme = SchemeConfig::hermes();
+    cfg.scheme = SchemeConfig::fromName("hermes");
     std::string key = experiment::configKey(cfg);
     // Knobs the user never set appear at their effective values: the
     // named preset knob (tau_high = 4) and a pure schema default

@@ -1,6 +1,6 @@
 """tlpsim-audit — semantic static-analysis suite for tlpsim.
 
-Four repo-specific checkers driven by the exported compilation database
+Five repo-specific checkers driven by the exported compilation database
 (build/compile_commands.json), each expressing an invariant the paper's
 figures depend on but that generic lint (clang-tidy, -Werror) cannot:
 
@@ -21,6 +21,10 @@ figures depend on but that generic lint (clang-tidy, -Werror) cannot:
                data member at its declaration (NSDMI) or in a
                constructor init list, so memoized Runner reuse can
                never observe stale state.
+  hotpath      no allocation inside `// tlpsim:hot` regions (new,
+               std::function, node-based containers, strings, unwaived
+               container growth), balanced markers, and every hot
+               region's module closure inside the hot-safe modules.
 
 Any finding can be waived at the offending line (or the line above)
 with
@@ -28,6 +32,8 @@ with
     // tlpsim:waive(<check>) <reason>
 
 where <reason> is mandatory: a reason-less waiver is itself a finding.
+A check may mark a finding unwaivable (hotpath does so for everything
+but container growth); a waiver then leaves it an error.
 
 The suite is dependency-free Python over the compilation database: it
 runs in minimal containers (the dev image has neither libclang nor the
@@ -43,4 +49,4 @@ Run it:
 
 __version__ = "1.0"
 
-CHECKS = ("determinism", "layering", "schema", "reset")
+CHECKS = ("determinism", "layering", "schema", "reset", "hotpath")

@@ -1,7 +1,7 @@
 """CLI driver: load the compilation database, run checkers, report.
 
     python3 -m tools.tlpsim_audit [--compdb build/compile_commands.json]
-        [--root DIR] [--checks determinism,layering,schema,reset]
+        [--root DIR] [--checks determinism,layering,schema,reset,hotpath]
         [--json FILE] [--werror] [--show-waived] [--list-checks]
 
 Exit status: 0 clean (or findings without --werror — they still
@@ -57,7 +57,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="tlpsim-audit",
         description="semantic static analysis for tlpsim "
-                    "(determinism, layering, schema-drift, reset)")
+                    "(determinism, layering, schema-drift, reset, hotpath)")
     parser.add_argument("--compdb",
                         default="build/compile_commands.json",
                         help="compilation database "

@@ -8,11 +8,12 @@ fixture in selftest.py (the CI audit job refuses a checker whose seeded
 violation does not fail).
 """
 
-from . import determinism, layering, reset_audit, schema_drift
+from . import determinism, hotpath, layering, reset_audit, schema_drift
 
 CHECKERS = {
     "determinism": determinism.run,
     "layering": layering.run,
     "schema": schema_drift.run,
     "reset": reset_audit.run,
+    "hotpath": hotpath.run,
 }

@@ -76,7 +76,7 @@ def _assert_acyclic():
             visit(node, [])
 
 
-def _module_of(rel):
+def module_of(rel):
     parts = rel.split("/")
     if len(parts) >= 3 and parts[0] == "src":
         return parts[1]
@@ -85,7 +85,7 @@ def _module_of(rel):
 
 def _check_includes(files, report):
     for rel, sf in sorted(files.items()):
-        module = _module_of(rel)
+        module = module_of(rel)
         if module is None:
             continue
         if module not in ALLOWED:

@@ -11,13 +11,14 @@ class Finding:
     `file` is repo-root-relative so output and JSON are stable across
     checkouts; `line` is 1-based. `waived` findings are kept (they feed
     the JSON report and the waiver-hygiene summary) but do not fail the
-    run.
+    run. A finding with `waivable` False ignores every waiver.
     """
 
     check: str
     file: str
     line: int
     message: str
+    waivable: bool = True
     waived: bool = False
     waive_reason: str = ""
 
@@ -55,9 +56,12 @@ def apply_waivers(findings, waivers_by_file):
     @p waivers_by_file maps root-relative path -> {line: [(check,
     reason)]}, where `line` is the line the waiver covers (the waiver's
     own line, and — for a comment-only line — the next code line; see
-    source.SourceFile.waivers).
+    source.SourceFile.waivers). Findings that are not waivable stay
+    active.
     """
     for f in findings:
+        if not f.waivable:
+            continue
         for check, reason in waivers_by_file.get(f.file, {}).get(f.line, []):
             if check == f.check:
                 f.waived = True

@@ -339,6 +339,72 @@ registerThing()
 }
 """
 
+HOTPATH_BAD = """\
+#include <vector>
+
+namespace fixture
+{
+
+std::vector<int> log;
+
+// tlpsim:hot
+int *
+tick(int v)
+{
+    int *p = new int(v);   // tlpsim:waive(hotpath) waivers cannot allow this
+    log.push_back(v);
+    return p;
+}
+// tlpsim:endhot
+
+} // namespace fixture
+"""
+
+HOTPATH_UNCLOSED = """\
+namespace fixture
+{
+
+// tlpsim:hot
+int step(int v) { return v + 1; }
+
+} // namespace fixture
+"""
+
+HOTPATH_GOOD = """\
+#include <vector>
+
+namespace fixture
+{
+
+std::vector<int> log;
+const char *label = "new";
+
+// tlpsim:hot
+void
+tick(int v)
+{
+    log.push_back(v);   // tlpsim:waive(hotpath) capacity reserved at start
+    const char *op = "new";
+    (void)op;
+}
+// tlpsim:endhot
+
+const char *marker = "// tlpsim:hot";
+
+} // namespace fixture
+"""
+
+HOTPATH_SIM = """\
+namespace fixture
+{
+
+// tlpsim:hot
+int step(int v) { return v + 1; }
+// tlpsim:endhot
+
+} // namespace fixture
+"""
+
 # Each fixture: files are materialized under a throwaway root, every
 # .cc gets a compilation-database entry, the CLI driver runs with
 # --werror on `checks`. `expect` rows are (file, line-marker, finding
@@ -486,6 +552,44 @@ FIXTURES = [
         },
         "expect": [],
         "exit": 0,
+    },
+    {
+        "name": "hotpath-violation",
+        "checks": "hotpath",
+        "files": {
+            "src/core/hot.cc": HOTPATH_BAD,
+            "src/core/open.cc": HOTPATH_UNCLOSED,
+        },
+        "expect": [
+            ("src/core/hot.cc", "new int(v)",
+             "error: [hotpath] operator new in hot region"),
+            ("src/core/hot.cc", "log.push_back(v);",
+             "error: [hotpath] container growth in hot region"),
+            ("src/core/open.cc", "// tlpsim:hot",
+             "error: [hotpath] `tlpsim:hot` region never closed"),
+        ],
+        "exit": 1,
+    },
+    {
+        "name": "hotpath-clean",
+        "checks": "hotpath",
+        "files": {
+            "src/core/hot.cc": HOTPATH_GOOD,
+        },
+        "expect": [],
+        "exit": 0,
+    },
+    {
+        "name": "hotpath-module",
+        "checks": "hotpath",
+        "files": {
+            "src/sim/step.cc": HOTPATH_SIM,
+        },
+        "expect": [
+            ("src/sim/step.cc", "// tlpsim:hot",
+             "error: [hotpath] hot region in module 'sim'"),
+        ],
+        "exit": 1,
     },
 ]
 
