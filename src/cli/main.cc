@@ -145,10 +145,12 @@ usageError(const std::string &msg)
     std::exit(2);
 }
 
-/** Strictly "[1-9][0-9]*": no sign, no whitespace, no strtoul wrap of
- *  negatives to huge unsigneds. Dies with a usage error otherwise. */
+/** Strictly "[1-9][0-9]*" up to @p max: no sign, no whitespace, no
+ *  strtoul wrap of negatives to huge unsigneds. Dies with a usage error
+ *  otherwise. */
 unsigned
-parsePositive(const std::string &v, const char *flag)
+parsePositive(const std::string &v, const char *flag,
+              unsigned max = std::numeric_limits<unsigned>::max())
 {
     bool digits_only = !v.empty();
     for (char ch : v) {
@@ -158,10 +160,9 @@ parsePositive(const std::string &v, const char *flag)
     char *end = nullptr;
     unsigned long parsed = digits_only ? std::strtoul(v.c_str(), &end, 10)
                                        : 0;
-    if (!digits_only || parsed == 0
-        || parsed > std::numeric_limits<unsigned>::max())
-        usageError(std::string(flag) + " expects a positive integer, got '"
-                   + v + "'");
+    if (!digits_only || parsed == 0 || parsed > max)
+        usageError(std::string(flag) + " expects an integer from 1 to "
+                   + std::to_string(max) + ", got '" + v + "'");
     return static_cast<unsigned>(parsed);
 }
 
@@ -198,7 +199,8 @@ parseArgs(int argc, char **argv)
             o.cores = parsePositive(need_value(i, "--cores"), "--cores");
             ++i;
         } else if (arg == "--jobs") {
-            o.jobs = parsePositive(need_value(i, "--jobs"), "--jobs");
+            o.jobs = parsePositive(need_value(i, "--jobs"), "--jobs",
+                                   kMaxJobs);
             ++i;
         } else if (arg == "--store") {
             o.store_dir = need_value(i, "--store");

@@ -34,7 +34,41 @@ badValue(const std::string &key, const std::string &value,
                       + ", got '" + value + "'");
 }
 
+/** The rules of Config::getUnsigned. strtoull would wrap a '-' (even
+ *  after leading blanks) to a huge value, so any '-' is rejected. */
+bool
+parseUnsigned(const std::string &s, std::uint64_t &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(s.c_str(), &end, 0);
+    if (end == s.c_str() || *end != '\0' || errno == ERANGE
+        || s.find('-') != std::string::npos)
+        return false;
+    out = v;
+    return true;
+}
+
 } // namespace
+
+std::uint64_t
+envUnsigned(const char *name, std::uint64_t fallback, std::uint64_t min,
+            std::uint64_t max)
+{
+    const char *v = std::getenv(name);
+    if (v == nullptr)
+        return fallback;
+    std::uint64_t parsed = 0;
+    if (!parseUnsigned(v, parsed) || parsed < min || parsed > max) {
+        std::string expected = min == 0 && max == UINT64_MAX
+            ? "a 64-bit non-negative integer"
+            : "an integer from " + std::to_string(min) + " to "
+                + std::to_string(max);
+        throw ConfigError("environment variable " + std::string(name)
+                          + ": expected " + expected + ", got '" + v + "'");
+    }
+    return parsed;
+}
 
 std::string
 joinNames(const std::vector<std::string> &names)
@@ -197,14 +231,9 @@ Config::getUnsigned(const std::string &key, std::uint64_t fallback) const
     if (it == values_.end())
         return fallback;
     consumed_.insert(key);
-    const char *s = it->second.c_str();
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(s, &end, 0);
-    if (end == s || *end != '\0' || errno == ERANGE
-        || it->second.front() == '-') {
+    std::uint64_t v = 0;
+    if (!parseUnsigned(it->second, v))
         badValue(key, it->second, "a 64-bit non-negative integer");
-    }
     return v;
 }
 

@@ -40,6 +40,15 @@ class ConfigError : public std::runtime_error
 /** Comma-join for "valid names: ..." error messages and listings. */
 std::string joinNames(const std::vector<std::string> &names);
 
+/** Environment knob parsed by Config::getUnsigned's rules (decimal, 0x
+ *  hex or 0-prefixed octal; no sign, no trailing text, no overflow):
+ *  @p fallback when the variable @p name is unset. Throws ConfigError
+ *  naming the variable and its value when the value is malformed or
+ *  outside [@p min, @p max]. */
+std::uint64_t envUnsigned(const char *name, std::uint64_t fallback,
+                          std::uint64_t min = 0,
+                          std::uint64_t max = UINT64_MAX);
+
 /** Throw one ConfigError carrying every collected error, one per line
  *  (the "report all offenders at once" convention of grid validation).
  *  @p errors must be non-empty. */

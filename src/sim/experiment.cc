@@ -4,49 +4,35 @@
 #include <condition_variable>
 #include <cstdio>
 #include <exception>
-#include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 
+#include "common/config.hh"
 #include "tracefile/file_source.hh"
 
 namespace tlpsim::experiment
 {
 
-namespace
-{
-
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (v == nullptr)
-        return fallback;
-    char *end = nullptr;
-    std::uint64_t parsed = std::strtoull(v, &end, 10);
-    return end == v ? fallback : parsed;
-}
-
-} // namespace
-
 InstrCount
 envInstrs(InstrCount fallback)
 {
-    return envU64("TLPSIM_INSTRS", fallback);
+    return envUnsigned("TLPSIM_INSTRS", fallback);
 }
 
 InstrCount
 envWarmup(InstrCount fallback)
 {
-    return envU64("TLPSIM_WARMUP", fallback);
+    return envUnsigned("TLPSIM_WARMUP", fallback);
 }
 
 int
 envMixes(int fallback)
 {
     return static_cast<int>(
-        envU64("TLPSIM_MIXES", static_cast<std::uint64_t>(fallback)));
+        envUnsigned("TLPSIM_MIXES", static_cast<std::uint64_t>(fallback), 0,
+                    std::numeric_limits<int>::max()));
 }
 
 namespace

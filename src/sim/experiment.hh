@@ -19,11 +19,13 @@
 namespace tlpsim::experiment
 {
 
-/** TLPSIM_INSTRS (measurement instructions per core). */
+/** Scale knobs from the environment, parsed strictly by envUnsigned
+ *  (common/config.hh): a malformed value throws ConfigError naming the
+ *  variable. TLPSIM_INSTRS (measurement instructions per core). */
 InstrCount envInstrs(InstrCount fallback = 1'000'000);
 /** TLPSIM_WARMUP (warmup instructions per core). */
 InstrCount envWarmup(InstrCount fallback = 200'000);
-/** TLPSIM_MIXES (4-core mixes per suite). */
+/** TLPSIM_MIXES (4-core mixes per suite), at most INT_MAX. */
 int envMixes(int fallback = 4);
 
 /**

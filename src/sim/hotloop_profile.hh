@@ -10,7 +10,7 @@
  * *relative* attribution honest — exactly what's needed to direct
  * hot-loop work and to spot a subsystem whose share regresses.
  *
- * Used by bench/profile_hotloop (CI uploads its report as an artifact).
+ * Used by perfbench's traced run (perfbench/run.py --trace 1).
  */
 
 #ifndef TLPSIM_SIM_HOTLOOP_PROFILE_HH

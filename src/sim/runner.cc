@@ -1,9 +1,10 @@
 #include "sim/runner.hh"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
+#include "common/config.hh"
 #include "common/diag.hh"
 #include "common/watchdog.hh"
 
@@ -13,14 +14,9 @@ namespace tlpsim::experiment
 unsigned
 jobsFromEnv()
 {
-    if (const char *v = std::getenv("TLPSIM_JOBS")) {
-        char *end = nullptr;
-        unsigned long parsed = std::strtoul(v, &end, 10);
-        if (end != v && parsed > 0)
-            return static_cast<unsigned>(parsed);
-    }
     unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
+    return static_cast<unsigned>(envUnsigned(
+        "TLPSIM_JOBS", hw == 0 ? 1 : std::min(hw, kMaxJobs), 1, kMaxJobs));
 }
 
 std::string

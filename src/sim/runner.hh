@@ -54,7 +54,14 @@
 namespace tlpsim::experiment
 {
 
-/** TLPSIM_JOBS (worker threads), default hardware_concurrency, min 1. */
+/** Most worker threads a Runner may be asked for, by TLPSIM_JOBS or
+ *  --jobs: a typo such as a negative count must not start billions of
+ *  threads. */
+inline constexpr unsigned kMaxJobs = 1024;
+
+/** TLPSIM_JOBS (worker threads), default hardware_concurrency (at most
+ *  kMaxJobs). Throws ConfigError naming the variable unless the value is
+ *  an integer from 1 to kMaxJobs. */
 unsigned jobsFromEnv();
 
 /** Fingerprint of every SystemConfig field the simulation depends on

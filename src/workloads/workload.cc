@@ -52,13 +52,15 @@ SetSize
 setSizeFromEnv()
 {
     const char *v = std::getenv("TLPSIM_SET");
-    if (v == nullptr)
+    if (v == nullptr || std::strcmp(v, "small") == 0)
         return SetSize::Small;
     if (std::strcmp(v, "full") == 0)
         return SetSize::Full;
     if (std::strcmp(v, "tiny") == 0)
         return SetSize::Tiny;
-    return SetSize::Small;
+    throw ConfigError(std::string("environment variable TLPSIM_SET: "
+                                  "expected one of tiny, small, full, got '")
+                      + v + "'");
 }
 
 std::vector<WorkloadSpec>

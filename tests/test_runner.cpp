@@ -12,6 +12,7 @@
 #include <cstdlib>
 
 #include "sim/runner.hh"
+#include "test_util.hh"
 #include "workloads/workload.hh"
 
 using namespace tlpsim;
@@ -90,14 +91,20 @@ TEST(Runner, GetOnUnsubmittedKeyThrowsNamingTheKey)
     EXPECT_THROW(r.outcome("missing-point-key"), std::logic_error);
 }
 
+// Only the parser runs here: no Runner is built from a rejected value.
 TEST(Runner, JobsFromEnv)
 {
     ::setenv("TLPSIM_JOBS", "3", 1);
     EXPECT_EQ(jobsFromEnv(), 3u);
-    ::setenv("TLPSIM_JOBS", "not-a-number", 1);
+    ::setenv("TLPSIM_JOBS", "1024", 1);
+    EXPECT_EQ(jobsFromEnv(), kMaxJobs);
+    for (const char *bad : {"not-a-number", "-1", "-3", "5k", "0", "1025",
+                            "18446744073709551616"}) {
+        EXPECT_TRUE(test::rejectsEnv("TLPSIM_JOBS", bad,
+                                     [] { jobsFromEnv(); }));
+    }
     EXPECT_GE(jobsFromEnv(), 1u);
-    ::unsetenv("TLPSIM_JOBS");
-    EXPECT_GE(jobsFromEnv(), 1u);
+    EXPECT_LE(jobsFromEnv(), kMaxJobs);
 }
 
 TEST(Runner, ConfigKeyDistinguishesDesignPoints)
@@ -122,8 +129,9 @@ TEST(Runner, GridDeterministicAcrossWorkerCounts)
     auto ws = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);
     ASSERT_GE(ws.size(), 4u);
     ws.resize(4);
-    std::vector<SystemConfig> grid{tinyConfig(),
-                                   tinyConfig(SchemeConfig::fromName("tlp"))};
+    std::vector<SystemConfig> grid{
+        tinyConfig(), tinyConfig(SchemeConfig::fromName("hermes")),
+        tinyConfig(SchemeConfig::fromName("tlp"))};
 
     auto run_grid = [&](unsigned jobs) {
         Runner r(jobs);

@@ -8,6 +8,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
+#include "test_util.hh"
 #include "workloads/workload.hh"
 
 using namespace tlpsim;
@@ -565,9 +566,31 @@ TEST(Experiment, EnvKnobsFallBack)
     EXPECT_EQ(envInstrs(123), 123u);
     setenv("TLPSIM_INSTRS", "456", 1);
     EXPECT_EQ(envInstrs(123), 456u);
+    setenv("TLPSIM_INSTRS", "0", 1);
+    EXPECT_EQ(envInstrs(123), 0u);
     unsetenv("TLPSIM_INSTRS");
     unsetenv("TLPSIM_MIXES");
     EXPECT_EQ(envMixes(3), 3);
+    unsetenv("TLPSIM_SET");
+    EXPECT_EQ(workloads::setSizeFromEnv(), workloads::SetSize::Small);
+    setenv("TLPSIM_SET", "tiny", 1);
+    EXPECT_EQ(workloads::setSizeFromEnv(), workloads::SetSize::Tiny);
+    unsetenv("TLPSIM_SET");
+
+    // Malformed values fail loudly instead of falling back or wrapping.
+    for (const char *bad : {"-1", " -1", "5k", "", "not-a-number",
+                            "18446744073709551616"}) {
+        EXPECT_TRUE(test::rejectsEnv("TLPSIM_INSTRS", bad,
+                                     [] { envInstrs(123); }));
+    }
+    EXPECT_TRUE(test::rejectsEnv("TLPSIM_WARMUP", "-1",
+                                 [] { envWarmup(123); }));
+    EXPECT_TRUE(test::rejectsEnv("TLPSIM_MIXES", "5k", [] { envMixes(3); }));
+    EXPECT_TRUE(test::rejectsEnv("TLPSIM_MIXES", "2147483648",
+                                 [] { envMixes(3); }));
+    EXPECT_TRUE(test::rejectsEnv("TLPSIM_SET", "tinyy",
+                                 [] { workloads::setSizeFromEnv(); },
+                                 "tiny, small, full"));
 }
 
 TEST(Experiment, TablePrinterFormats)

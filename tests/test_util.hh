@@ -2,15 +2,21 @@
  * @file
  * Shared test scaffolding: a scriptable lower-level memory backend, a
  * completion-capturing client, and a clock helper for driving cache/DRAM
- * units in isolation; a content digest for pinning generated graphs.
+ * units in isolation; a content digest for pinning generated graphs; a
+ * check that an environment knob rejects a malformed value.
  */
 
 #ifndef TLPSIM_TESTS_TEST_UTIL_HH
 #define TLPSIM_TESTS_TEST_UTIL_HH
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
+#include "common/config.hh"
 #include "mem/packet.hh"
 #include "workloads/graph.hh"
 
@@ -140,6 +146,41 @@ graphDigest(const workloads::Graph &g)
     for (workloads::Vertex v : g.neighbors)
         mix(v, 4);
     return h;
+}
+
+/**
+ * Sets the environment variable @p name to @p value and calls @p read,
+ * which must throw a ConfigError whose message names the variable,
+ * quotes the value and contains @p also. Unsets @p name again.
+ */
+template <typename Read>
+::testing::AssertionResult
+rejectsEnv(const char *name, const char *value, Read read,
+           const char *also = "")
+{
+    ::setenv(name, value, 1);
+    std::string msg;
+    bool threw = false;
+    try {
+        read();
+    } catch (const ConfigError &e) {
+        threw = true;
+        msg = e.what();
+    }
+    ::unsetenv(name);
+    if (!threw) {
+        return ::testing::AssertionFailure()
+            << name << "='" << value << "' was accepted";
+    }
+    for (const std::string &want :
+         {std::string(name), "'" + std::string(value) + "'",
+          std::string(also)}) {
+        if (msg.find(want) == std::string::npos) {
+            return ::testing::AssertionFailure()
+                << "message lacks \"" << want << "\": " << msg;
+        }
+    }
+    return ::testing::AssertionSuccess();
 }
 
 } // namespace tlpsim::test
