@@ -29,6 +29,7 @@
 #define TLPSIM_BENCH_BENCH_COMMON_HH
 
 #include <cstdio>
+#include <exception>
 #include <map>
 #include <string>
 #include <vector>
@@ -213,6 +214,25 @@ printBanner(const char *what, const char *paper_ref)
                 experiment::defaultRunner().jobs());
     std::printf("================================================="
                 "=============\n");
+}
+
+/**
+ * Every bench's main(): run @p reproduce and return its exit code. A
+ * ConfigError (a malformed TLPSIM_* knob, a trace spill that cannot be
+ * written) prints one "NAME: message" line and returns 1, as tlpsim
+ * does, instead of aborting.
+ */
+inline int
+guardMain(const char *name, int (*reproduce)())
+{
+    try {
+        return reproduce();
+    } catch (const ConfigError &e) {
+        std::fprintf(stderr, "%s: %s\n", name, e.what());
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "%s: internal error: %s\n", name, e.what());
+    }
+    return 1;
 }
 
 } // namespace tlpsim::bench

@@ -9,8 +9,11 @@
 using namespace tlpsim;
 using namespace tlpsim::bench;
 
+namespace
+{
+
 int
-main()
+reproduce()
 {
     printBanner("Figure 1 — cache MPKI of modern workloads",
                 "Fig. 1 (L1D/L2C/LLC MPKI, SPEC vs GAP)");
@@ -59,4 +62,12 @@ main()
     std::printf("\npaper shape: L1D >> L2C >> LLC; GAP misses more than "
                 "SPEC; a large fraction of L1D misses reach DRAM.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return tlpsim::bench::guardMain("fig01_mpki", reproduce);
 }

@@ -10,8 +10,11 @@
 using namespace tlpsim;
 using namespace tlpsim::bench;
 
+namespace
+{
+
 int
-main()
+reproduce()
 {
     printBanner("Figures 2 & 4 — Hermes DRAM pressure and prediction "
                 "outcome",
@@ -85,4 +88,12 @@ main()
                 "a significant share of the wrong ones sit in the L1D — "
                 "the motivation for FLP's selective delay.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return tlpsim::bench::guardMain("fig02_fig04_hermes_single_core", reproduce);
 }

@@ -9,8 +9,11 @@
 using namespace tlpsim;
 using namespace tlpsim::bench;
 
+namespace
+{
+
 int
-main()
+reproduce()
 {
     printBanner("Figure 3 — Hermes DRAM pressure, 4-core mixes",
                 "Fig. 3 (ΔDRAM txns, multi-core)");
@@ -50,4 +53,12 @@ main()
                 "more for GAP mixes than SPEC mixes (paper: +9.6%% GAP vs "
                 "+2.2%% SPEC).\n");
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return tlpsim::bench::guardMain("fig03_hermes_multi_core", reproduce);
 }

@@ -47,10 +47,8 @@ printFigure(const char *title, const std::vector<workloads::WorkloadSpec> &ws,
                  TablePrinter::fmt((sums[0] + sums[1] + sums[2]) / n, 1)});
 }
 
-} // namespace
-
 int
-main()
+reproduce()
 {
     printBanner("Figures 5 & 6 — where L1D prefetches are served from",
                 "Fig. 5 (inaccurate PPKI) and Fig. 6 (accurate PPKI), "
@@ -73,4 +71,12 @@ main()
                 "column is much smaller; IPCP issues far more than "
                 "Berti.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return tlpsim::bench::guardMain("fig05_fig06_prefetch_location", reproduce);
 }

@@ -116,10 +116,8 @@ evaluatePrefetcher(const std::vector<workloads::WorkloadSpec> &ws,
     }
 }
 
-} // namespace
-
 int
-main()
+reproduce()
 {
     printBanner("Figures 10, 11, 12 — single-core evaluation",
                 "Fig. 10 (speedup), Fig. 11 (ΔDRAM), Fig. 12 (accuracy); "
@@ -141,4 +139,12 @@ main()
                 "the highest prefetcher accuracy; GAP gains exceed "
                 "SPEC.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return tlpsim::bench::guardMain("fig10_fig11_fig12_single_core", reproduce);
 }

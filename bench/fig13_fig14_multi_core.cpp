@@ -70,10 +70,8 @@ evaluatePrefetcher(const std::vector<workloads::WorkloadSpec> &ws,
     tp14.printRow(row);
 }
 
-} // namespace
-
 int
-main()
+reproduce()
 {
     printBanner("Figures 13 & 14 — multi-core evaluation",
                 "Fig. 13 (weighted speedup) and Fig. 14 (ΔDRAM), 4-core; "
@@ -96,4 +94,12 @@ main()
                 "geomean (paper: +11.5%% IPCP / +11.8%% Berti) and is the "
                 "only design point that reduces DRAM transactions.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return tlpsim::bench::guardMain("fig13_fig14_multi_core", reproduce);
 }

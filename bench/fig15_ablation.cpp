@@ -9,8 +9,11 @@
 using namespace tlpsim;
 using namespace tlpsim::bench;
 
+namespace
+{
+
 int
-main()
+reproduce()
 {
     printBanner("Figure 15 — TLP component ablation",
                 "Fig. 15 (FLP / SLP / TSP / Delayed TSP / Selective TSP / "
@@ -56,4 +59,12 @@ main()
                 "(paper: FLP 2.9%% < SLP 6.9%% < TSP 8.4%% < Delayed TSP "
                 "10.2%% < Selective TSP 11.4%% <= TLP 11.5%%).\n");
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return tlpsim::bench::guardMain("fig15_ablation", reproduce);
 }

@@ -10,8 +10,11 @@
 using namespace tlpsim;
 using namespace tlpsim::bench;
 
+namespace
+{
+
 int
-main()
+reproduce()
 {
     printBanner("Figure 16 — DRAM bandwidth sensitivity",
                 "Fig. 16a (speedup) and 16b (ΔDRAM) at 1.6–25.6 GB/s per "
@@ -85,4 +88,12 @@ main()
                 "is scarce (paper: +21.2%% at 1.6 GB/s vs +6.9%% at 25.6) "
                 "and it reduces DRAM transactions at every point.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return tlpsim::bench::guardMain("fig16_bandwidth", reproduce);
 }

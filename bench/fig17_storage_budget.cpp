@@ -26,10 +26,8 @@ geomeanSpeedup(const std::vector<workloads::WorkloadSpec> &ws,
     return experiment::geomeanSpeedupPct(pcts);
 }
 
-} // namespace
-
 int
-main()
+reproduce()
 {
     printBanner("Figure 17 — spending TLP's 7KB differently",
                 "Fig. 17 (IPCP/Berti/Hermes enhanced with +7 KB vs TLP, "
@@ -72,4 +70,12 @@ main()
     std::printf("\npaper shape: extra table capacity alone buys little — "
                 "TLP's gains come from the mechanism, not the storage.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return tlpsim::bench::guardMain("fig17_storage_budget", reproduce);
 }

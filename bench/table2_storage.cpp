@@ -12,8 +12,11 @@
 
 using namespace tlpsim;
 
+namespace
+{
+
 int
-main()
+reproduce()
 {
     tlpsim::bench::printBanner("Table II — TLP storage overhead",
                                "Table II (6.98 KB breakdown)");
@@ -31,4 +34,12 @@ main()
     std::printf("paper: FLP 3.21 KB + SLP 3.29 KB + LQ metadata 0.42 KB + "
                 "MSHR metadata 0.06 KB = 6.98 KB total.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return tlpsim::bench::guardMain("table2_storage", reproduce);
 }

@@ -10,8 +10,11 @@
 
 using namespace tlpsim;
 
+namespace
+{
+
 int
-main()
+reproduce()
 {
     tlpsim::bench::printBanner("Table III — system configuration",
                                "Table III (Cascade Lake-like baseline)");
@@ -19,4 +22,12 @@ main()
     std::printf("%s\n", SystemConfig::cascadeLake(1).description().c_str());
     std::printf("%s\n", SystemConfig::cascadeLake(4).description().c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return tlpsim::bench::guardMain("table3_config", reproduce);
 }

@@ -13,8 +13,11 @@ using namespace tlpsim;
 using namespace tlpsim::bench;
 using namespace tlpsim::workloads;
 
+namespace
+{
+
 int
-main()
+reproduce()
 {
     printBanner("Tables IV & V — GAP kernels and input graphs",
                 "Table IV (kernel traits), Table V (graph sizes)");
@@ -46,4 +49,12 @@ main()
                 "scale (power-law skew for kron/twitter/web, uniform for "
                 "urand, constant low degree for road).\n");
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return tlpsim::bench::guardMain("table45_workloads", reproduce);
 }

@@ -37,6 +37,7 @@ main()
         opt.max_instrs = 400'000;
         TraceRecorder rec(trace, opt);
         recordGapKernel(kernel, graph, rec, 7);
+        rec.flush();
         auto s = trace.summarize();
         std::printf("\n== %s: %llu instrs, %llu loads, %.1f MB touched\n",
                     toString(kernel),
@@ -56,7 +57,7 @@ main()
               SchemeConfig::fromName("hermes"),
               SchemeConfig::fromName("tlp")}) {
             cfg.scheme = scheme;
-            Simulator sim(cfg, {&trace});
+            Simulator sim(cfg, {std::make_shared<MemoryTraceSource>(trace)});
             SimResult r = sim.run();
             if (scheme.name == "baseline")
                 base_ipc = r.ipc[0];

@@ -588,10 +588,9 @@ run(const Options &o)
         // The exact stream runSingleCore consumes: warmup + measurement
         // instructions, default recording seed — so a replay of the dump
         // is bit-identical to simulating the kernel in-binary.
-        const Trace &trace
-            = cachedTrace(w, base.warmup_instrs + base.sim_instrs);
         tracefile::writeTraceFile(
-            o.record_trace, trace,
+            o.record_trace,
+            *traceSource(w, base.warmup_instrs + base.sim_instrs),
             w.suite == workloads::Suite::Gap ? 1 : 0);
         const auto info = tracefile::readInfo(o.record_trace);
         std::printf("recorded %s -> %s: %llu record(s), %llu bytes, %s\n",

@@ -1,13 +1,20 @@
 #include "sim/experiment.hh"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <system_error>
+#include <tuple>
 
 #include "common/config.hh"
 #include "tracefile/file_source.hh"
@@ -38,99 +45,166 @@ envMixes(int fallback)
 namespace
 {
 
-struct TraceKey
-{
-    std::string name;
-    InstrCount instrs;
-    std::uint64_t seed;
+/** (workload name, instructions, seed): one recording. */
+using TraceKey = std::tuple<std::string, InstrCount, std::uint64_t>;
 
-    bool
-    operator<(const TraceKey &o) const
-    {
-        if (name != o.name)
-            return name < o.name;
-        if (instrs != o.instrs)
-            return instrs < o.instrs;
-        return seed < o.seed;
-    }
-};
+std::string
+errnoText()
+{
+    return std::error_code(errno, std::generic_category()).message();
+}
 
 /**
- * One memoized trace. The first thread to request a key records the trace
- * while later requesters block on cv; afterwards the trace is immutable
- * and shared read-only across all simulation workers. If recording throws,
- * the error is propagated to every waiter and the slot is dropped from the
- * cache so a later request can retry (waiters keep the slot alive through
- * their shared_ptr).
+ * One built-in recording, spilled to a temporary file that is unlinked as
+ * soon as it is created, so it vanishes with the process however that
+ * ends. The recording thread holds m until the file is complete; every
+ * other caller for the key blocks on m, then reads the immutable file
+ * through its own SpillSource.
  */
-struct TraceSlot
+struct Spill
 {
     std::mutex m;
-    std::condition_variable cv;
-    bool ready = false;
-    Trace trace;
-    std::exception_ptr error;
+    std::exception_ptr error;   ///< why recording failed, if it did
+    std::string name;           ///< workload name
+    int fd = -1;
+    std::uint64_t records = 0;
+
+    ~Spill()
+    {
+        if (fd >= 0)
+            ::close(fd);
+    }
+
+    void
+    record(const workloads::WorkloadSpec &spec, InstrCount instrs,
+           std::uint64_t seed)
+    {
+        name = spec.name;
+        const char *env = std::getenv("TMPDIR");
+        const std::string dir = env != nullptr && *env != '\0' ? env : "/tmp";
+        std::string path = dir + "/tlpsim-spill-XXXXXX";
+        fd = ::mkostemp(path.data(), O_CLOEXEC);
+        if (fd < 0) {
+            const std::string why = errnoText();
+            throw ConfigError("workload '" + name
+                              + "': cannot create a trace spill file in '"
+                              + dir + "': " + why);
+        }
+        ::unlink(path.c_str());
+        records = workloads::recordTrace(
+            spec, instrs, seed, [this](const TraceInstr *p, std::size_t n) {
+                append(p, n);
+            });
+        if (records == 0) {
+            throw ConfigError("trace '" + name
+                              + "' is empty: nothing to simulate");
+        }
+    }
+
+    /** A short write is retried, so a full disk surfaces as the errno of
+     *  the write that cannot progress. */
+    void
+    append(const TraceInstr *p, std::size_t n)
+    {
+        const char *bytes = reinterpret_cast<const char *>(p);
+        for (std::size_t left = n * sizeof(TraceInstr); left > 0;) {
+            const ssize_t put = ::write(fd, bytes, left);
+            if (put < 0) {
+                const std::string why = errnoText();
+                throw ConfigError("workload '" + name
+                                  + "': cannot write its trace spill "
+                                    "file: "
+                                  + why);
+            }
+            bytes += put;
+            left -= static_cast<std::size_t>(put);
+        }
+    }
 };
 
-std::mutex g_trace_mutex;
-std::map<TraceKey, std::shared_ptr<TraceSlot>> g_trace_cache;
+/** One reader of a Spill: its own offset, wrapping at the end of the
+ *  pass, pread straight into the caller's buffer. */
+class SpillSource final : public TraceSource
+{
+  public:
+    explicit SpillSource(std::shared_ptr<const Spill> spill)
+        : spill_(std::move(spill))
+    {
+    }
+
+    std::uint64_t size() const override { return spill_->records; }
+    const std::string &name() const override { return spill_->name; }
+
+    std::size_t
+    read(TraceInstr *out, std::size_t n) override
+    {
+        const std::size_t take = static_cast<std::size_t>(
+            std::min<std::uint64_t>(n, spill_->records - pos_));
+        const std::size_t bytes = take * sizeof(TraceInstr);
+        const off_t at = static_cast<off_t>(pos_ * sizeof(TraceInstr));
+        // The file is complete and never changes: only an I/O error
+        // reads short.
+        const ssize_t got = ::pread(spill_->fd, out, bytes, at);
+        if (got != static_cast<ssize_t>(bytes)) {
+            const std::string why = got < 0 ? errnoText() : "short read";
+            throw ConfigError("workload '" + spill_->name
+                              + "': cannot read its trace spill file at "
+                                "byte "
+                              + std::to_string(at) + ": " + why);
+        }
+        pos_ += take;
+        if (pos_ == spill_->records)
+            pos_ = 0;
+        return take;
+    }
+
+  private:
+    std::shared_ptr<const Spill> spill_;
+    std::uint64_t pos_ = 0;
+};
+
+std::mutex g_spill_mutex;
+std::map<TraceKey, std::shared_ptr<Spill>> g_spills;
+
+/** The spill of (spec, instrs, seed), recording it on first use. If
+ *  recording throws, every caller waiting on it gets the error and the
+ *  key is dropped, so a later call retries. */
+std::shared_ptr<const Spill>
+spilled(const workloads::WorkloadSpec &spec, InstrCount instrs,
+        std::uint64_t seed)
+{
+    const TraceKey key{spec.name, instrs, seed};
+    std::shared_ptr<Spill> spill;
+    std::unique_lock<std::mutex> recording;
+    {
+        std::lock_guard<std::mutex> lock(g_spill_mutex);
+        std::shared_ptr<Spill> &slot = g_spills[key];
+        if (slot == nullptr) {
+            slot = std::make_shared<Spill>();
+            // Nobody else has seen the new spill yet: this cannot block.
+            recording = std::unique_lock<std::mutex>(slot->m);
+        }
+        spill = slot;
+    }
+    if (recording.owns_lock()) {
+        try {
+            spill->record(spec, instrs, seed);
+        } catch (...) {
+            spill->error = std::current_exception();
+            recording.unlock();
+            std::lock_guard<std::mutex> lock(g_spill_mutex);
+            g_spills.erase(key);
+        }
+    } else {
+        // Held by the recording thread until the spill is complete.
+        std::lock_guard<std::mutex> wait(spill->m);
+    }
+    if (spill->error)
+        std::rethrow_exception(spill->error);
+    return spill;
+}
 
 } // namespace
-
-const Trace &
-cachedTrace(const workloads::WorkloadSpec &spec, InstrCount instrs,
-            std::uint64_t seed)
-{
-    TraceKey key{spec.name, instrs, seed};
-    std::shared_ptr<TraceSlot> slot;
-    bool builder = false;
-    {
-        std::lock_guard<std::mutex> lock(g_trace_mutex);
-        auto it = g_trace_cache.find(key);
-        if (it == g_trace_cache.end()) {
-            it = g_trace_cache.emplace(key, std::make_shared<TraceSlot>())
-                     .first;
-            builder = true;
-        }
-        slot = it->second;
-    }
-    if (builder) {
-        std::exception_ptr error;
-        Trace built;
-        try {
-            built = workloads::buildTrace(spec, instrs, seed);
-        } catch (...) {
-            error = std::current_exception();
-        }
-        if (error) {
-            std::lock_guard<std::mutex> cache_lock(g_trace_mutex);
-            g_trace_cache.erase(key);
-        }
-        {
-            std::lock_guard<std::mutex> lock(slot->m);
-            slot->trace = std::move(built);
-            slot->error = error;
-            slot->ready = true;
-        }
-        slot->cv.notify_all();
-        if (error)
-            std::rethrow_exception(error);
-        return slot->trace;
-    }
-    std::unique_lock<std::mutex> lock(slot->m);
-    slot->cv.wait(lock, [&] { return slot->ready; });
-    if (slot->error)
-        std::rethrow_exception(slot->error);
-    return slot->trace;
-}
-
-void
-clearTraceCache()
-{
-    // Only safe with no simulations in flight (they hold Trace references).
-    std::lock_guard<std::mutex> lock(g_trace_mutex);
-    g_trace_cache.clear();
-}
 
 std::shared_ptr<TraceSource>
 traceSource(const workloads::WorkloadSpec &spec, InstrCount instrs,
@@ -138,10 +212,7 @@ traceSource(const workloads::WorkloadSpec &spec, InstrCount instrs,
 {
     if (spec.isFile())
         return std::make_shared<tracefile::FileTraceSource>(spec.trace_path);
-    // The cache slot (and the Trace in it) lives for the process, so the
-    // source's reference into it cannot dangle.
-    return std::make_shared<MemoryTraceSource>(
-        cachedTrace(spec, instrs, seed));
+    return std::make_shared<SpillSource>(spilled(spec, instrs, seed));
 }
 
 SimResult

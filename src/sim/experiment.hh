@@ -1,7 +1,7 @@
 /**
  * @file
  * Experiment harness: shared plumbing for the bench/ binaries that
- * regenerate the paper's tables and figures — trace caching, environment
+ * regenerate the paper's tables and figures — trace recording, environment
  * scaling knobs, single-core and multi-core runners, the paper's metrics
  * (speedup, weighted speedup, ΔDRAM transactions), and text-table output.
  */
@@ -29,21 +29,21 @@ InstrCount envWarmup(InstrCount fallback = 200'000);
 int envMixes(int fallback = 4);
 
 /**
- * Process-wide trace cache: benches sweep many workloads/schemes over the
- * same workloads; each trace is recorded once. In-binary kernels only —
- * file-backed specs stream from disk and are never materialized (see
- * traceSource()).
- */
-const Trace &cachedTrace(const workloads::WorkloadSpec &spec,
-                         InstrCount instrs, std::uint64_t seed = 7);
-void clearTraceCache();
-
-/**
- * The stream a simulation consumes for @p spec: a MemoryTraceSource over
- * the cached recording for in-binary kernels, a fresh bounded-memory
- * FileTraceSource for file-backed specs. Each call returns an
- * independent stream (own position, own file handle), so N concurrent
- * simulations of one workload stay deterministic and lock-free.
+ * The stream a simulation consumes for @p spec.
+ *
+ * In-binary kernels are recorded once per process per (name, instrs,
+ * seed): the first call streams the recording chunk by chunk into a
+ * temporary file under $TMPDIR (default /tmp) that is unlinked at once,
+ * so it is freed when the process exits, however it exits. Concurrent
+ * first calls for one key record it once. Every call returns a source
+ * with its own offset into that file, so recording holds one recorder
+ * chunk in memory and replay one TraceReader chunk per core, whatever
+ * the trace length. Disk use is 32 B per recorded instruction per
+ * distinct key. A file that cannot be created or written throws
+ * ConfigError naming the workload (and the directory, or the errno
+ * text).
+ *
+ * File-backed specs get a fresh bounded-memory FileTraceSource.
  */
 std::shared_ptr<TraceSource> traceSource(const workloads::WorkloadSpec &spec,
                                          InstrCount instrs,

@@ -7,18 +7,17 @@
  * dependencies, at most one load and one store address, and branch
  * behaviour. Traces come from two producers behind one streaming
  * abstraction (TraceSource): the in-process workload synthesizers
- * (src/workloads), which materialize a Trace in memory, and the portable
- * on-disk trace files of src/tracefile, which stream hundred-GB traces at
- * a fixed memory footprint. The core never sees the difference — it pulls
- * records through a TraceReader cursor that refills a small chunk buffer
- * from whichever source backs it.
+ * (src/workloads), whose recordings are spilled to a private temporary
+ * file (experiment::traceSource), and the portable on-disk trace files of
+ * src/tracefile. Both stream at a fixed memory footprint. The core never
+ * sees the difference — it pulls records through a TraceReader cursor
+ * that refills a small chunk buffer from whichever source backs it.
  */
 
 #ifndef TLPSIM_TRACE_TRACE_HH
 #define TLPSIM_TRACE_TRACE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -65,7 +64,9 @@ struct TraceInstr
 static_assert(sizeof(TraceInstr) == 32, "trace record must stay compact");
 
 /**
- * An in-memory instruction trace plus identifying metadata.
+ * An in-memory instruction trace plus identifying metadata (tests,
+ * examples and hand-built traces; simulations stream built-in workloads
+ * through experiment::traceSource instead).
  */
 class Trace
 {
@@ -74,7 +75,13 @@ class Trace
     explicit Trace(std::string name) : name_(std::move(name)) {}
 
     void reserve(std::size_t n) { instrs_.reserve(n); }
+    void clear() { instrs_.clear(); }
     void push(const TraceInstr &i) { instrs_.push_back(i); }
+    void
+    append(const TraceInstr *p, std::size_t n)
+    {
+        instrs_.insert(instrs_.end(), p, p + n);
+    }
 
     const TraceInstr &at(std::size_t i) const { return instrs_[i]; }
     const TraceInstr *data() const { return instrs_.data(); }
@@ -108,9 +115,10 @@ class Trace
  * are shorter than the requested simulation length).
  *
  * This is the seam between the frontend and the trace's storage: the
- * in-memory Trace and the chunked on-disk reader (tracefile::
- * FileTraceSource) both implement it, so the Simulator replays a
- * hundred-GB trace file and a synthesized kernel through identical code.
+ * spilled recording of a built-in kernel, the chunked on-disk reader
+ * (tracefile::FileTraceSource) and an in-memory Trace all implement it,
+ * so the Simulator replays a hundred-GB trace file and a synthesized
+ * kernel through identical code.
  * The interface is bulk-transfer — one virtual call refills a whole
  * chunk — so per-instruction consumption (TraceReader) stays non-virtual.
  */
@@ -167,11 +175,6 @@ class TraceReader
     explicit TraceReader(TraceSource &source,
                          std::size_t chunk_records = kChunkRecords);
 
-    /** Convenience for tests and single-shot runs: wraps an owned
-     *  MemoryTraceSource over @p trace. */
-    explicit TraceReader(const Trace &trace,
-                         std::size_t chunk_records = kChunkRecords);
-
     /** Next record without consuming it. */
     const TraceInstr &
     peek()
@@ -204,7 +207,6 @@ class TraceReader
   private:
     void refill();
 
-    std::shared_ptr<TraceSource> owned_;   ///< set by the Trace ctor only
     TraceSource *source_;
     std::vector<TraceInstr> buf_;
     std::size_t pos_ = 0;

@@ -341,15 +341,16 @@ TraceFileWriter::finish()
 }
 
 void
-writeTraceFile(const std::string &path, const Trace &trace,
+writeTraceFile(const std::string &path, TraceSource &source,
                std::uint32_t suite)
 {
     TraceFileWriter::Options opt;
-    opt.name = trace.name();
+    opt.name = source.name();
     opt.suite = suite;
     TraceFileWriter w(path, opt);
-    for (std::size_t i = 0; i < trace.size(); ++i)
-        w.append(trace.at(i));
+    TraceReader reader(source);
+    for (std::uint64_t i = 0; i < source.size(); ++i)
+        w.append(reader.next());
     w.finish();
 }
 

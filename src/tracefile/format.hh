@@ -172,9 +172,10 @@ class TraceFileWriter
     bool finished_ = false;
 };
 
-/** Write a materialized Trace to @p path (the --record-trace path and
- *  the test fixture generator). */
-void writeTraceFile(const std::string &path, const Trace &trace,
+/** Stream the next size() records of @p source (one whole pass when
+ *  the source is fresh) to @p path, named after the source: the
+ *  --record-trace path and the test fixture generator. */
+void writeTraceFile(const std::string &path, TraceSource &source,
                     std::uint32_t suite);
 
 } // namespace tlpsim::tracefile

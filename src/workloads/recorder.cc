@@ -1,5 +1,8 @@
 #include "workloads/recorder.hh"
 
+#include <algorithm>
+#include <utility>
+
 namespace tlpsim::workloads
 {
 
@@ -33,6 +36,40 @@ callerPc()
 }
 
 } // namespace
+
+TraceRecorder::TraceRecorder(Sink sink, const Options &opt)
+    : chunk_(std::make_unique<Trace>()), budget_(opt.max_instrs),
+      brk_(opt.heap_base), sink_(std::move(sink))
+{
+    chunk_->reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(opt.max_instrs, kChunkRecords)));
+}
+
+TraceRecorder::TraceRecorder(Trace &out, const Options &opt)
+    : TraceRecorder([&out](const TraceInstr *p,
+                           std::size_t n) { out.append(p, n); },
+                    opt)
+{
+}
+
+void
+TraceRecorder::flush()
+{
+    if (chunk_->empty())
+        return;
+    sink_(chunk_->data(), chunk_->size());
+    flushed_ += chunk_->size();
+    budget_ -= chunk_->size();
+    chunk_->clear();
+}
+
+void
+TraceRecorder::emit(const TraceInstr &i)
+{
+    chunk_->push(i);
+    if (chunk_->size() == kChunkRecords)
+        flush();
+}
 
 Addr
 TraceRecorder::alloc(std::uint64_t bytes)
@@ -79,7 +116,7 @@ TraceRecorder::jump()
     i.ip = callerPc();
     i.branch = BranchKind::Direct;
     i.taken = true;
-    trace_->push(i);
+    emit(i);
 }
 
 RegId
@@ -93,7 +130,7 @@ TraceRecorder::loadAt(Addr ip, Addr vaddr, RegId a, RegId b)
     i.src0 = a;
     i.src1 = b;
     i.dst = allocReg();
-    trace_->push(i);
+    emit(i);
     return i.dst;
 }
 
@@ -107,7 +144,7 @@ TraceRecorder::storeAt(Addr ip, Addr vaddr, RegId a, RegId b)
     i.st_vaddr = vaddr;
     i.src0 = a;
     i.src1 = b;
-    trace_->push(i);
+    emit(i);
 }
 
 RegId
@@ -120,7 +157,7 @@ TraceRecorder::aluAt(Addr ip, RegId a, RegId b)
     i.src0 = a;
     i.src1 = b;
     i.dst = allocReg();
-    trace_->push(i);
+    emit(i);
     return i.dst;
 }
 
@@ -134,7 +171,7 @@ TraceRecorder::branchAt(Addr ip, bool taken, RegId a)
     i.branch = BranchKind::Conditional;
     i.taken = taken;
     i.src0 = a;
-    trace_->push(i);
+    emit(i);
 }
 
 } // namespace tlpsim::workloads

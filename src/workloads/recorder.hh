@@ -19,8 +19,10 @@
 #ifndef TLPSIM_WORKLOADS_RECORDER_HH
 #define TLPSIM_WORKLOADS_RECORDER_HH
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
 
 #include "trace/trace.hh"
 
@@ -41,7 +43,9 @@ struct VArray
 };
 
 /**
- * Records one instruction per call into a Trace.
+ * Records one instruction per call into a chunk and hands each full chunk
+ * of kChunkRecords to a sink, so recording holds one chunk in memory
+ * however long the trace.
  *
  * The recorder owns a bump allocator for the synthetic virtual heap so
  * each workload's data regions are disjoint and page-aligned.
@@ -55,17 +59,29 @@ class TraceRecorder
         Addr heap_base = Addr{1} << 32;   ///< 4 GiB: clear of code addresses
     };
 
-    TraceRecorder(Trace &out, const Options &opt)
-        : trace_(&out), max_instrs_(opt.max_instrs), brk_(opt.heap_base)
-    {
-        // At most 2^22 records (128 MiB) up front; longer traces grow.
-        trace_->reserve(std::min(opt.max_instrs, std::uint64_t{1} << 22));
-    }
+    /** Receives the recorded stream in order, one chunk per call. */
+    using Sink = std::function<void(const TraceInstr *, std::size_t)>;
 
-    /** True once max_instrs records have been emitted; kernels must stop. */
-    bool full() const { return trace_->size() >= max_instrs_; }
+    /** Records per sink call: 16384 x 32 B = 512 KiB. */
+    static constexpr std::size_t kChunkRecords = 16384;
 
-    std::uint64_t instrCount() const { return trace_->size(); }
+    TraceRecorder(Sink sink, const Options &opt);
+
+    /** Record into @p out (tests and examples); flush() before reading
+     *  it. */
+    TraceRecorder(Trace &out, const Options &opt);
+
+    /** True once max_instrs records have been emitted; kernels must stop.
+     *  Recorded PCs are call-site offsets, so the kernels' code size is
+     *  part of every trace: this stays one compare of the chunk's size
+     *  against the budget left for it. */
+    bool full() const { return chunk_->size() >= budget_; }
+
+    std::uint64_t instrCount() const { return flushed_ + chunk_->size(); }
+
+    /** Hand the buffered records to the sink; call once the kernel
+     *  returns. */
+    void flush();
 
     /** Reserve @p bytes of synthetic virtual address space (page aligned). */
     Addr alloc(std::uint64_t bytes);
@@ -124,10 +140,14 @@ class TraceRecorder
         return r;
     }
 
-    Trace *trace_;
-    std::uint64_t max_instrs_;
+    void emit(const TraceInstr &i);
+
+    std::unique_ptr<Trace> chunk_;
+    std::uint64_t budget_;   ///< records the current chunk may still take
     Addr brk_;
     RegId next_reg_ = 1;
+    Sink sink_;
+    std::uint64_t flushed_ = 0;   ///< records handed to the sink so far
 };
 
 } // namespace tlpsim::workloads

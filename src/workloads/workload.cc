@@ -94,24 +94,34 @@ singleCoreWorkloads(SetSize s)
     return out;
 }
 
-Trace
-buildTrace(const WorkloadSpec &spec, std::uint64_t instrs, std::uint64_t seed)
+std::uint64_t
+recordTrace(const WorkloadSpec &spec, std::uint64_t instrs,
+            std::uint64_t seed, const TraceRecorder::Sink &sink)
 {
     if (!spec.record) {
-        // File-backed workloads replay via a TraceSource; materializing
-        // them here would defeat the bounded-memory contract, so a path
-        // that reaches this (a bench calling cachedTrace on a file spec)
-        // is a bug surfaced by name.
+        // File-backed workloads replay from their own file; a path that
+        // reaches this is a bug surfaced by name.
         throw ConfigError("workload '" + spec.name
                           + "' is file-backed (" + spec.trace_path
                           + "); it streams from disk and cannot be "
-                            "re-recorded in memory");
+                            "re-recorded");
     }
-    Trace trace(spec.name);
     TraceRecorder::Options opt;
     opt.max_instrs = instrs;
-    TraceRecorder rec(trace, opt);
+    TraceRecorder rec(sink, opt);
     spec.record(rec, seed);
+    rec.flush();
+    return rec.instrCount();
+}
+
+Trace
+buildTrace(const WorkloadSpec &spec, std::uint64_t instrs, std::uint64_t seed)
+{
+    Trace trace(spec.name);
+    recordTrace(spec, instrs, seed,
+                [&trace](const TraceInstr *p, std::size_t n) {
+                    trace.append(p, n);
+                });
     return trace;
 }
 

@@ -93,7 +93,15 @@ SetSize setSizeFromEnv();
 /** All single-core workloads for a set size (GAP first, then SPEC). */
 std::vector<WorkloadSpec> singleCoreWorkloads(SetSize s);
 
-/** Build a trace of @p instrs records for @p spec. */
+/** Record at most @p instrs records of @p spec, handing them to @p sink
+ *  in chunks of TraceRecorder::kChunkRecords; returns how many were
+ *  recorded (fewer when the kernel ends early). Throws ConfigError for a
+ *  file-backed spec. */
+std::uint64_t recordTrace(const WorkloadSpec &spec, std::uint64_t instrs,
+                          std::uint64_t seed,
+                          const TraceRecorder::Sink &sink);
+
+/** recordTrace into an in-memory Trace. */
 Trace buildTrace(const WorkloadSpec &spec, std::uint64_t instrs,
                  std::uint64_t seed);
 

@@ -6,8 +6,9 @@
  * engine rather than a synthetic two-thread toy:
  *
  *   - the Runner at high job counts over the shared (mutex-guarded)
- *     trace/graph cache, starting cold so workers race to populate it,
- *     with 1-vs-8-jobs bit-identity as the functional oracle;
+ *     trace spills and graph cache, starting cold so workers race to
+ *     record them, with 1-vs-8-jobs bit-identity as the functional
+ *     oracle, and four threads racing to spill one cold trace;
  *   - two ResultStore writers racing on one store directory (the
  *     documented "two sweep shards on one store" contract:
  *     write-temp-then-rename, last-writer-wins, both rows valid);
@@ -28,6 +29,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -146,10 +148,10 @@ TEST(WatchdogConcurrency, ExpiryUnwindsConcurrentRuns)
         threads.emplace_back([&timeouts, t] {
             auto ws = workloads::singleCoreWorkloads(
                 workloads::SetSize::Tiny);
-            Trace trace = workloads::buildTrace(
-                ws[static_cast<std::size_t>(t) % ws.size()], 4'000, 1);
             Simulator sim(endlessConfig(),
-                          std::vector<const Trace *>{&trace});
+                          {traceSource(
+                              ws[static_cast<std::size_t>(t) % ws.size()],
+                              4'000, 1)});
             watchdog::arm(0.05);
             try {
                 sim.run();
@@ -173,8 +175,7 @@ TEST(WatchdogConcurrency, ArmedThreadTimesOutWhileUnarmedThreadFinishes)
 
     std::thread doomed([&] {
         auto ws = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);
-        Trace trace = workloads::buildTrace(ws.front(), 4'000, 1);
-        Simulator sim(endlessConfig(), std::vector<const Trace *>{&trace});
+        Simulator sim(endlessConfig(), {traceSource(ws.front(), 4'000, 1)});
         watchdog::arm(0.05);
         try {
             sim.run();
@@ -185,8 +186,7 @@ TEST(WatchdogConcurrency, ArmedThreadTimesOutWhileUnarmedThreadFinishes)
     });
     std::thread healthy([&] {
         auto ws = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);
-        Trace trace = workloads::buildTrace(ws.front(), 4'000, 1);
-        Simulator sim(tinyConfig(), std::vector<const Trace *>{&trace});
+        Simulator sim(tinyConfig(), {traceSource(ws.front(), 4'000, 1)});
         SimResult r = sim.run();
         finished = !r.stats.empty();
     });
@@ -207,8 +207,7 @@ TEST(WatchdogConcurrency, CrossThreadCancelUnwindsSimulatorRun)
 
     std::thread sim_thread([&] {
         auto ws = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);
-        Trace trace = workloads::buildTrace(ws.front(), 4'000, 1);
-        Simulator sim(endlessConfig(), std::vector<const Trace *>{&trace});
+        Simulator sim(endlessConfig(), {traceSource(ws.front(), 4'000, 1)});
         watchdog::bindCancel(&flag);
         try {
             sim.run();
@@ -228,15 +227,15 @@ TEST(WatchdogConcurrency, CrossThreadCancelUnwindsSimulatorRun)
 }
 
 // --------------------------------------------------------------------------
-// Runner stress: high job counts over the shared trace/graph cache
+// Runner stress: high job counts over the shared trace spills and graphs
 // --------------------------------------------------------------------------
 
 /**
  * The sanitizer-facing version of the determinism guarantee: start with
- * a cold process-wide trace cache so eight workers race to record the
- * same workloads, and require the resulting grid to be bit-identical to
- * a sequential run (satellite of the 1-vs-N contract in test_runner.cpp,
- * here at 8 jobs and explicitly cold so TSan sees the racy window).
+ * cold trace keys so eight workers race to record the same workloads,
+ * and require the resulting grid to be bit-identical to a sequential run
+ * (satellite of the 1-vs-N contract in test_runner.cpp, here at 8 jobs
+ * and explicitly cold so TSan sees the racy window).
  */
 TEST(RunnerConcurrency, ColdCacheGridBitIdentical1v8Jobs)
 {
@@ -247,15 +246,21 @@ TEST(RunnerConcurrency, ColdCacheGridBitIdentical1v8Jobs)
                                    tinyConfig(SchemeConfig::fromName("tlp"))};
 
     auto run_grid = [&](unsigned jobs) {
-        clearTraceCache();   // every worker sees a cold cache
+        // A fresh name is a fresh trace key: every run (and every
+        // --gtest_repeat) records its workloads cold.
+        static int round = 0;
+        std::vector<workloads::WorkloadSpec> cold = ws;
+        for (auto &w : cold)
+            w.name += ".cold" + std::to_string(round);
+        ++round;
         Runner r(jobs);
         for (const auto &cfg : grid) {
-            for (const auto &w : ws)
+            for (const auto &w : cold)
                 r.submitSingle(w, cfg);
         }
         std::vector<SimResult> out;
         for (const auto &cfg : grid) {
-            for (const auto &w : ws)
+            for (const auto &w : cold)
                 out.push_back(r.single(w, cfg));
         }
         return out;
@@ -270,6 +275,49 @@ TEST(RunnerConcurrency, ColdCacheGridBitIdentical1v8Jobs)
         EXPECT_EQ(seq[i].ipc, par[i].ipc) << "design point " << i;
         EXPECT_EQ(seq[i].window_cycles, par[i].window_cycles)
             << "design point " << i;
+    }
+}
+
+TEST(TraceSpillConcurrency, FourThreadsOneColdKeyRecordOnce)
+{
+    // Four threads race on one cold key: one records and spills it while
+    // the others wait, and all four stream the recording, record for
+    // record, through their own sources.
+    static int round = 0;
+    std::atomic<int> recordings{0};
+    workloads::WorkloadSpec spec
+        = workloads::singleCoreWorkloads(workloads::SetSize::Tiny).back();
+    spec.name += ".spill_race" + std::to_string(round++);
+    spec.record = [&recordings, inner = spec.record](
+                      workloads::TraceRecorder &rec, std::uint64_t seed) {
+        ++recordings;
+        inner(rec, seed);
+    };
+    constexpr InstrCount kInstrs = 40'000;   // more than two chunks
+    constexpr int kThreads = 4;
+    std::vector<std::vector<TraceInstr>> seen(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&spec, &seen, t] {
+            auto src = traceSource(spec, kInstrs, 3);
+            TraceReader reader(*src);
+            auto &out = seen[static_cast<std::size_t>(t)];
+            for (std::uint64_t i = 0; i < src->size(); ++i)
+                out.push_back(reader.next());
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(recordings.load(), 1);
+
+    const Trace want = workloads::buildTrace(spec, kInstrs, 3);
+    ASSERT_EQ(want.size(), kInstrs);
+    for (const auto &got : seen) {
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(TraceInstr)),
+                  0);
     }
 }
 

@@ -31,7 +31,7 @@ struct CoreRig
         : stats("t"), l1i(1, MemLevel::L1D), l1d(l1d_latency, MemLevel::L1D),
           walk(20, MemLevel::L2C), dtlb({"dtlb", 64, 4, 1}, &stats),
           stlb({"stlb", 1536, 12, 8}, &stats), tlbs(&dtlb, &stlb),
-          reader(trace)
+          source(trace), reader(source)
     {
         Core::Params cp;
         cp.name = "cpu0";
@@ -79,6 +79,7 @@ struct CoreRig
     Tlb dtlb;
     Tlb stlb;
     TranslationStack tlbs;
+    MemoryTraceSource source;
     TraceReader reader;
     std::unique_ptr<Core> core;
 };
@@ -90,6 +91,7 @@ makeTrace(const std::function<void(workloads::TraceRecorder &)> &fn,
     Trace t("t");
     workloads::TraceRecorder rec(t, {n, Addr{1} << 32});
     fn(rec);
+    rec.flush();
     return t;
 }
 

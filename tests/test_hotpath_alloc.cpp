@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/experiment.hh"
 #include "sim/simulator.hh"
 #include "sim/system_config.hh"
 #include "workloads/workload.hh"
@@ -130,12 +131,10 @@ steadyStateAllocs(const char *workload, const SchemeConfig &scheme,
                   unsigned warmup_steps, unsigned steps)
 {
     constexpr std::uint64_t kTraceInstrs = 4000;
-    Trace trace = workloads::buildTrace(pickWorkload(workload),
-                                        kTraceInstrs, /*seed=*/1);
-
     SystemConfig cfg = SystemConfig::cascadeLake(1);
     cfg.scheme = scheme;
-    Simulator sim(cfg, std::vector<const Trace *>{&trace});
+    Simulator sim(cfg, {experiment::traceSource(pickWorkload(workload),
+                                                kTraceInstrs, /*seed=*/1)});
 
     // Warmup: reach every high-water mark. The trace repeats
     // cyclically, so this covers its full footprint several times.

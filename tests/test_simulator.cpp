@@ -283,11 +283,11 @@ TEST(Simulator, CapMidMixSumsMeasuredInstrs)
 TEST(Simulator, MismatchedTraceCountIsConfigErrorNotCrash)
 {
     auto specs = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);
-    const Trace &t = cachedTrace(specs.front(), 10'000);
     SystemConfig cfg = tinyConfig(4);
     try {
         // 2 traces for 4 cores
-        Simulator sim(cfg, std::vector<const Trace *>{&t, &t});
+        Simulator sim(cfg, {traceSource(specs.front(), 10'000),
+                            traceSource(specs.front(), 10'000)});
         FAIL() << "expected ConfigError";
     } catch (const ConfigError &e) {
         std::string msg = e.what();
@@ -380,8 +380,7 @@ TEST(Simulator, IdleSkipOnVsOffBitIdentical)
     // must be invisible in every result field: same stats map, same
     // per-core windows, at Fig. 10 scale — while actually eliding a
     // nontrivial share of cycles on a DRAM-bound workload.
-    Trace trace
-        = workloads::buildTrace(tinyWorkload("mcf_pchase"), 80'000, 1);
+    const workloads::WorkloadSpec mcf = tinyWorkload("mcf_pchase");
     for (const SchemeConfig &s :
          {SchemeConfig::fromName("baseline"), SchemeConfig::fromName("tlp")}) {
         SystemConfig on = tinyConfig();
@@ -389,8 +388,8 @@ TEST(Simulator, IdleSkipOnVsOffBitIdentical)
         SystemConfig off = on;
         off.idle_skip = false;
 
-        Simulator sim_on(on, std::vector<const Trace *>{&trace});
-        Simulator sim_off(off, std::vector<const Trace *>{&trace});
+        Simulator sim_on(on, {traceSource(mcf, 80'000, 1)});
+        Simulator sim_off(off, {traceSource(mcf, 80'000, 1)});
         SimResult a = sim_on.run();
         SimResult b = sim_off.run();
 
@@ -443,10 +442,8 @@ TEST(Simulator, DramWaitAdvancesClockInOneStep)
     // cycle and ONE skipIdle() call must jump the clock straight there
     // — the mechanism that turns a DRAM round-trip's worth of no-op
     // ticks into a single bounded-work step.
-    Trace trace
-        = workloads::buildTrace(tinyWorkload("mcf_pchase"), 4'000, 1);
     SystemConfig cfg = SystemConfig::cascadeLake(1);
-    Simulator sim(cfg, std::vector<const Trace *>{&trace});
+    Simulator sim(cfg, {traceSource(tinyWorkload("mcf_pchase"), 4'000, 1)});
 
     bool exercised = false;
     for (int i = 0; i < 200'000 && !exercised; ++i) {
@@ -550,14 +547,27 @@ TEST(Experiment, WeightedSpeedupIsAnyWidthButRejectsMismatch)
                  ConfigError);
 }
 
-TEST(Experiment, TraceCacheReturnsSameObject)
+TEST(Experiment, TraceSourceRecordsEachKeyOnce)
 {
-    auto specs = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);
-    const Trace &a = cachedTrace(specs.front(), 10'000);
-    const Trace &b = cachedTrace(specs.front(), 10'000);
-    EXPECT_EQ(&a, &b);
-    const Trace &c = cachedTrace(specs.front(), 20'000);
-    EXPECT_NE(&a, &c);
+    // A spec with a unique name and a counting recorder: every source of
+    // one (name, instrs, seed) streams one recording; another length is
+    // another key.
+    int recordings = 0;
+    workloads::WorkloadSpec spec = tinyWorkload("mcf_pchase");
+    spec.name = "record_once.mcf_pchase";
+    spec.record = [&recordings, inner = spec.record](
+                      workloads::TraceRecorder &rec, std::uint64_t seed) {
+        ++recordings;
+        inner(rec, seed);
+    };
+    auto a = traceSource(spec, 10'000);
+    auto b = traceSource(spec, 10'000);
+    EXPECT_EQ(recordings, 1);
+    EXPECT_NE(a, b);   // own offsets
+    EXPECT_EQ(a->size(), 10'000u);
+    EXPECT_EQ(a->name(), spec.name);
+    traceSource(spec, 20'000);
+    EXPECT_EQ(recordings, 2);
 }
 
 TEST(Experiment, EnvKnobsFallBack)

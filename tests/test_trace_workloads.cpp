@@ -2,16 +2,25 @@
  * Tests for the trace format, the recorder, graph generation, and the GAP
  * and SPEC-like kernels — including algorithmic correctness of the
  * recorded kernels on small graphs (results must match reference
- * implementations run independently).
+ * implementations run independently) — and for the spilled recordings
+ * experiment::traceSource streams.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <csignal>
+#include <cstdlib>
+#include <cstring>
 #include <queue>
+#include <system_error>
 
 #include "common/bitops.hh"
 #include "common/config.hh"
+#include "sim/experiment.hh"
 #include "trace/trace.hh"
 #include "workloads/gap_kernels.hh"
 #include "workloads/graph.hh"
@@ -35,6 +44,7 @@ record(std::uint64_t max_instrs,
     opt.max_instrs = max_instrs;
     TraceRecorder rec(t, opt);
     fn(rec);
+    rec.flush();
     return t;
 }
 
@@ -75,7 +85,8 @@ TEST(Trace, ReaderLoops)
         rec.alu();
         rec.alu();
     });
-    TraceReader r(t);
+    MemoryTraceSource src(t);
+    TraceReader r(src);
     for (int i = 0; i < 10; ++i)
         r.next();
     EXPECT_EQ(r.position(), 10u % 3u);
@@ -87,7 +98,8 @@ TEST(Trace, ReaderPeekDoesNotConsume)
         rec.load(0x100000000);
         rec.alu();
     });
-    TraceReader r(t);
+    MemoryTraceSource src(t);
+    TraceReader r(src);
     const TraceInstr &p1 = r.peek();
     const TraceInstr &p2 = r.peek();
     EXPECT_EQ(&p1, &p2);
@@ -101,6 +113,29 @@ TEST(Recorder, StopsAtMaxInstrs)
             rec.alu();
     });
     EXPECT_EQ(t.size(), 10u);
+}
+
+TEST(Recorder, SinkGetsFullChunksThenTheRest)
+{
+    const std::uint64_t max = 2 * TraceRecorder::kChunkRecords + 5;
+    std::vector<std::size_t> calls;
+    std::uint64_t ip = 0;
+    bool in_order = true;
+    TraceRecorder rec(
+        [&](const TraceInstr *p, std::size_t n) {
+            calls.push_back(n);
+            for (std::size_t i = 0; i < n; ++i)
+                in_order &= p[i].ip == ip++;
+        },
+        {max, Addr{1} << 32});
+    for (Addr i = 0; !rec.full() && i < 2 * max; ++i)
+        rec.aluAt(i);
+    rec.flush();
+    EXPECT_EQ(rec.instrCount(), max);
+    EXPECT_EQ(calls, (std::vector<std::size_t>{TraceRecorder::kChunkRecords,
+                                               TraceRecorder::kChunkRecords,
+                                               5}));
+    EXPECT_TRUE(in_order);
 }
 
 TEST(Recorder, DistinctCallSitesGetDistinctPcs)
@@ -164,6 +199,7 @@ TEST(Recorder, ExplicitIpVariants)
     TraceRecorder rec(t, {100, Addr{1} << 32});
     rec.loadAt(0x1234, 0x100000000);
     rec.branchAt(0x5678, false);
+    rec.flush();
     EXPECT_EQ(t.at(0).ip, 0x1234u);
     EXPECT_EQ(t.at(1).ip, 0x5678u);
     EXPECT_FALSE(t.at(1).taken);
@@ -461,6 +497,7 @@ TEST_P(GapKernelRecordTest, FillsTraceWithMemoryOps)
     Trace t("k");
     TraceRecorder rec(t, {20'000, Addr{1} << 32});
     recordGapKernel(GetParam(), g, rec, 1);
+    rec.flush();
     auto s = t.summarize();
     EXPECT_EQ(s.instrs, 20'000u);
     EXPECT_GT(s.loads, s.instrs / 10);
@@ -483,10 +520,12 @@ TEST_P(SpecKernelTest, FillsTraceDeterministically)
     Trace a("a");
     TraceRecorder ra(a, {15'000, Addr{1} << 32});
     recordSpecKernel(GetParam(), ra, 42, 6);
+    ra.flush();
 
     Trace b("b");
     TraceRecorder rb(b, {15'000, Addr{1} << 32});
     recordSpecKernel(GetParam(), rb, 42, 6);
+    rb.flush();
 
     ASSERT_EQ(a.size(), b.size());
     EXPECT_EQ(a.size(), 15'000u);
@@ -501,6 +540,7 @@ TEST_P(SpecKernelTest, HasLoads)
     Trace t("t");
     TraceRecorder rec(t, {15'000, Addr{1} << 32});
     recordSpecKernel(GetParam(), rec, 1, 6);
+    rec.flush();
     EXPECT_GT(t.summarize().loads, 1000u);
 }
 
@@ -517,6 +557,7 @@ TEST(SpecKernels, PointerChaseIsDependent)
     Trace t("mcf");
     TraceRecorder rec(t, {1'000, Addr{1} << 32});
     recordSpecKernel(SpecKernel::McfPchase, rec, 42, 8);
+    rec.flush();
     // The chase loads must form a register dependence chain: find two
     // successive chase loads and check src/dst linkage.
     int chained = 0;
@@ -560,6 +601,126 @@ TEST(Workloads, BuildTraceRespectsLength)
     Trace t = buildTrace(ws.back(), 5'000, 1);   // a SPEC kernel
     EXPECT_EQ(t.size(), 5'000u);
     EXPECT_EQ(t.name(), ws.back().name);
+}
+
+// --- Spilled recordings (experiment::traceSource) ----------------------
+
+namespace
+{
+
+const WorkloadSpec &
+tinySpec(const std::string &name)
+{
+    static const auto ws = singleCoreWorkloads(SetSize::Tiny);
+    for (const auto &w : ws) {
+        if (w.name == name)
+            return w;
+    }
+    throw std::runtime_error("no tiny workload " + name);
+}
+
+/** Restores an environment variable when it goes out of scope. */
+class EnvRestore
+{
+  public:
+    explicit EnvRestore(const char *name) : name_(name)
+    {
+        const char *v = std::getenv(name);
+        had_ = v != nullptr;
+        old_ = had_ ? v : "";
+    }
+    ~EnvRestore()
+    {
+        if (had_)
+            setenv(name_, old_.c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    bool had_ = false;
+    std::string old_;
+};
+
+} // namespace
+
+TEST(TraceSpill, ReplaysTheRecordingAcrossTheWrap)
+{
+    // A SPEC kernel fills all it is asked for; bfs.kron's pass ends near
+    // 110k of 600k. One and a half passes cross the wrap, and the
+    // recorder's and the reader's chunk boundaries fall mid-pass.
+    struct Case
+    {
+        const char *name;
+        std::uint64_t instrs;
+    };
+    for (const Case &c : {Case{"mcf_pchase", 50'000},
+                          Case{"bfs.kron", 600'000}}) {
+        const Trace want = buildTrace(tinySpec(c.name), c.instrs, 7);
+        auto src = experiment::traceSource(tinySpec(c.name), c.instrs, 7);
+        ASSERT_EQ(src->size(), want.size()) << c.name;
+        EXPECT_EQ(src->name(), c.name);
+        if (std::string(c.name) == "bfs.kron") {
+            EXPECT_LT(want.size(), c.instrs / 2);
+        }
+        TraceReader reader(*src);
+        std::size_t mismatches = 0;
+        for (std::uint64_t i = 0; i < want.size() + want.size() / 2; ++i) {
+            mismatches += std::memcmp(&reader.next(),
+                                      &want.at(i % want.size()),
+                                      sizeof(TraceInstr))
+                != 0;
+        }
+        EXPECT_EQ(mismatches, 0u) << c.name;
+    }
+}
+
+TEST(TraceSpill, MissingTmpdirNamesWorkloadAndDirectory)
+{
+    WorkloadSpec spec = tinySpec("mcf_pchase");
+    spec.name = "spill_dir_error.mcf_pchase";
+    const std::string dir = ::testing::TempDir() + "/no/such/dir";
+    {
+        EnvRestore restore("TMPDIR");
+        setenv("TMPDIR", dir.c_str(), 1);
+        try {
+            experiment::traceSource(spec, 1'000);
+            FAIL() << "expected ConfigError";
+        } catch (const ConfigError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(spec.name), std::string::npos) << msg;
+            EXPECT_NE(msg.find("'" + dir + "'"), std::string::npos) << msg;
+        }
+    }
+    // The failed key is not cached: a later call records it.
+    EXPECT_EQ(experiment::traceSource(spec, 1'000)->size(), 1'000u);
+}
+
+TEST(TraceSpill, FailedWriteNamesWorkloadAndErrno)
+{
+    // A 64 KiB file-size limit (this process only) makes the first
+    // 512 KiB chunk's write fail with EFBIG instead of SIGXFSZ.
+    WorkloadSpec spec = tinySpec("mcf_pchase");
+    spec.name = "spill_write_error.mcf_pchase";
+    rlimit old{};
+    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &old), 0);
+    rlimit small = old;
+    small.rlim_cur = 64 * 1024;
+    auto *old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &small), 0);
+    std::string msg;
+    try {
+        experiment::traceSource(spec, 100'000);
+    } catch (const ConfigError &e) {
+        msg = e.what();
+    }
+    setrlimit(RLIMIT_FSIZE, &old);
+    std::signal(SIGXFSZ, old_handler);
+    EXPECT_NE(msg.find(spec.name), std::string::npos) << msg;
+    const std::string efbig
+        = std::error_code(EFBIG, std::generic_category()).message();
+    EXPECT_NE(msg.find(efbig), std::string::npos) << msg;
 }
 
 TEST(Workloads, MixesFollowPaperRecipe)

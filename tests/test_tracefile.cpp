@@ -76,6 +76,14 @@ sampleTrace(std::size_t n = 10)
     return t;
 }
 
+/** writeTraceFile over an in-memory trace. */
+void
+writeTrace(const std::string &path, const Trace &trace, std::uint32_t suite)
+{
+    MemoryTraceSource source(trace);
+    writeTraceFile(path, source, suite);
+}
+
 void
 expectSameInstr(const TraceInstr &a, const TraceInstr &b)
 {
@@ -115,7 +123,7 @@ TEST(TraceFile, RoundTripPreservesEveryField)
 {
     const std::string path = scratchPath("roundtrip.tlt");
     Trace t = sampleTrace(10);
-    writeTraceFile(path, t, /*suite=*/1);
+    writeTrace(path, t, /*suite=*/1);
 
     TraceFileInfo info = verifyFile(path);
     EXPECT_EQ(info.name, "sample");
@@ -159,14 +167,15 @@ TEST(TraceFile, StreamingWrapsAcrossPassesLikeMemory)
 {
     const std::string path = scratchPath("wrap.tlt");
     Trace t = sampleTrace(7);
-    writeTraceFile(path, t, 0);
+    writeTrace(path, t, 0);
 
     // A 3-record chunk forces refills inside a pass and a seek at each
     // pass boundary; 2.5 passes must replay the memory stream exactly.
     FileTraceSource fsrc(path, /*chunk_records=*/3);
     EXPECT_EQ(fsrc.chunkBytes(), 3 * kRecordSize);
     TraceReader file_r(fsrc, 3);
-    TraceReader mem_r(t, 3);
+    MemoryTraceSource msrc(t);
+    TraceReader mem_r(msrc, 3);
     for (std::size_t i = 0; i < 7 * 2 + 3; ++i) {
         EXPECT_EQ(file_r.position(), mem_r.position());
         expectSameInstr(file_r.next(), mem_r.next());
@@ -177,7 +186,7 @@ TEST(TraceFile, StreamingWrapsAcrossPassesLikeMemory)
 TEST(TraceFile, ChunkNeverExceedsOnePassOfTinyTraces)
 {
     const std::string path = scratchPath("tiny.tlt");
-    writeTraceFile(path, sampleTrace(2), 0);
+    writeTrace(path, sampleTrace(2), 0);
     FileTraceSource src(path);   // default chunk is 4096 records
     EXPECT_EQ(src.chunkBytes(), 2 * kRecordSize);
 }
@@ -199,7 +208,7 @@ TEST(TraceFile, WriterRefusesEmptyTraceAndLeavesNoFile)
 TEST(TraceFile, BadMagicNamesFileAndOffset)
 {
     const std::string path = scratchPath("badmagic.tlt");
-    writeTraceFile(path, sampleTrace(), 0);
+    writeTrace(path, sampleTrace(), 0);
     auto bytes = readAllBytes(path);
     bytes[0] = 'X';
     writeAllBytes(path, bytes);
@@ -210,7 +219,7 @@ TEST(TraceFile, BadMagicNamesFileAndOffset)
 TEST(TraceFile, UnsupportedVersionNamesBothVersions)
 {
     const std::string path = scratchPath("version.tlt");
-    writeTraceFile(path, sampleTrace(), 0);
+    writeTrace(path, sampleTrace(), 0);
     auto bytes = readAllBytes(path);
     bytes[8] = 9;   // version u32 LE at byte 8
     writeAllBytes(path, bytes);
@@ -222,7 +231,7 @@ TEST(TraceFile, UnsupportedVersionNamesBothVersions)
 TEST(TraceFile, TailTruncationLosesTheFooter)
 {
     const std::string path = scratchPath("chopped.tlt");
-    writeTraceFile(path, sampleTrace(), 0);
+    writeTrace(path, sampleTrace(), 0);
     auto bytes = readAllBytes(path);
     bytes.resize(bytes.size() - 5);   // cut mid-footer
     writeAllBytes(path, bytes);
@@ -233,7 +242,7 @@ TEST(TraceFile, TailTruncationLosesTheFooter)
 TEST(TraceFile, MidRecordCutNamesTheRecord)
 {
     const std::string path = scratchPath("midrecord.tlt");
-    writeTraceFile(path, sampleTrace(10), 0);
+    writeTrace(path, sampleTrace(10), 0);
     auto bytes = readAllBytes(path);
     // Splice 10 bytes out of the record region, keeping the footer: the
     // region is no longer a whole number of records.
@@ -248,7 +257,7 @@ TEST(TraceFile, MidRecordCutNamesTheRecord)
 TEST(TraceFile, WholeRecordLossIsACountMismatch)
 {
     const std::string path = scratchPath("count.tlt");
-    writeTraceFile(path, sampleTrace(10), 0);
+    writeTrace(path, sampleTrace(10), 0);
     auto bytes = readAllBytes(path);
     const std::size_t footer_at = bytes.size() - kFooterSize;
     bytes.erase(
@@ -263,7 +272,7 @@ TEST(TraceFile, WholeRecordLossIsACountMismatch)
 TEST(TraceFile, PayloadCorruptionFailsTheChecksum)
 {
     const std::string path = scratchPath("corrupt.tlt");
-    writeTraceFile(path, sampleTrace(10), 0);
+    writeTrace(path, sampleTrace(10), 0);
     auto bytes = readAllBytes(path);
     bytes[kFixedHeaderSize + 6 + 40] ^= 0x01;   // one bit, mid-payload
     writeAllBytes(path, bytes);
@@ -506,7 +515,7 @@ TEST(ChampSim, FailingDecompressorExitStatusSurfaces)
 TEST(FileWorkloads, ResolveAppendsVerifiedSpecWithContentIdentity)
 {
     const std::string path = scratchPath("wl.tlt");
-    writeTraceFile(path, sampleTrace(8), /*suite=*/1);
+    writeTrace(path, sampleTrace(8), /*suite=*/1);
 
     auto ws = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);
     const std::size_t before = ws.size();
@@ -534,7 +543,7 @@ TEST(FileWorkloads, PlainNamesNeverMatchFileSpecs)
     const std::string path = scratchPath("shadow.tlt");
     Trace t = sampleTrace(4);
     t.setName("mcf_pchase");   // collides with an in-binary kernel
-    writeTraceFile(path, t, 0);
+    writeTrace(path, t, 0);
 
     auto ws = workloads::singleCoreWorkloads(workloads::SetSize::Tiny);
     auto idx = workloads::resolveWorkloadIndices(
@@ -560,7 +569,7 @@ TEST(FileWorkloads, ResolutionCollectsFileAndNameErrorsTogether)
 TEST(FileWorkloads, FileBackedSpecCannotBeRecorded)
 {
     const std::string path = scratchPath("norec.tlt");
-    writeTraceFile(path, sampleTrace(4), 0);
+    writeTrace(path, sampleTrace(4), 0);
     workloads::WorkloadSpec w = workloads::fileTraceWorkload(path);
     expectConfigError([&] { workloads::buildTrace(w, 100, 7); },
                       {"file-backed", path});
@@ -578,9 +587,9 @@ TEST(FileWorkloads, ReplayIsBitIdenticalToInBinaryKernel)
     // Dump exactly the stream a simulation consumes (warmup + sim,
     // default seed), then replay it from disk.
     const std::string path = scratchPath("replay.tlt");
-    const Trace &trace = experiment::cachedTrace(
-        kernel, cfg.warmup_instrs + cfg.sim_instrs);
-    writeTraceFile(path, trace,
+    writeTraceFile(path,
+                   *experiment::traceSource(
+                       kernel, cfg.warmup_instrs + cfg.sim_instrs),
                    kernel.suite == workloads::Suite::Gap ? 1 : 0);
     workloads::WorkloadSpec file_w = workloads::fileTraceWorkload(path);
 
