@@ -37,7 +37,7 @@ reproduce()
 
     for (const char *pf : {"ipcp", "berti"}) {
         SystemConfig big = benchConfig(pf);
-        big.l1_pf_table_scale = 2;
+        big.l1_pf_params.set("table_scale_shift", 2);
         prewarm(ws, {benchConfig(pf), big,
                      benchConfig(pf, SchemeConfig::fromName("hermes+7kb")),
                      benchConfig(pf, SchemeConfig::fromName("tlp"))});
@@ -47,7 +47,7 @@ reproduce()
         SystemConfig base_cfg = benchConfig(pf);
 
         SystemConfig pf_big = benchConfig(pf);
-        pf_big.l1_pf_table_scale = 2;   // 4x tables ≈ +7 KB
+        pf_big.l1_pf_params.set("table_scale_shift", 2);   // 4x tables ≈ +7 KB
 
         SystemConfig hermes_big
             = benchConfig(pf, SchemeConfig::fromName("hermes+7kb"));

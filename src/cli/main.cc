@@ -484,23 +484,37 @@ printResultRow(const TablePrinter &tp, const std::string &workload,
     tp.printRow(cells);
 }
 
-/** Render one outcome: a normal metric row, or — for a design point the
- *  watchdog recorded as a structured failure — a FAILED marker row (the
- *  diagnostics already carry the detail; the table stays aligned). */
-void
-printOutcomeRow(const TablePrinter &tp, const std::string &label,
-                const std::string &scheme_name,
-                const experiment::Runner::Outcome &oc,
-                bool per_core_ipc = false)
+/** One table row to render: the point's label, scheme and outcome. */
+struct OutcomeRow
 {
-    if (!oc.failed) {
-        printResultRow(tp, label, *oc.result, per_core_ipc);
-        return;
+    std::string label;
+    std::string scheme_name;
+    experiment::Runner::Outcome outcome;
+};
+
+/** Render a table of resolved outcomes: a normal metric row, or — for a
+ *  design point the watchdog recorded as a structured failure — a FAILED
+ *  marker row (the diagnostics already carry the detail; the table stays
+ *  aligned). The caller resolves every row first, so a point that throws
+ *  leaves stdout empty rather than holding a header with no rows. */
+void
+printOutcomeTable(const TablePrinter &tp, const std::string &title,
+                  const std::vector<OutcomeRow> &rows,
+                  bool per_core_ipc = false)
+{
+    tp.printHeader(title);
+    for (const OutcomeRow &row : rows) {
+        if (!row.outcome.failed) {
+            printResultRow(tp, row.label, *row.outcome.result,
+                           per_core_ipc);
+            continue;
+        }
+        std::vector<std::string> cells{row.label, row.scheme_name,
+                                       "FAILED"};
+        for (std::size_t i = 0; i < (per_core_ipc ? 6u : 5u); ++i)
+            cells.push_back("-");
+        tp.printRow(cells);
     }
-    std::vector<std::string> cells{label, scheme_name, "FAILED"};
-    for (std::size_t i = 0; i < (per_core_ipc ? 6u : 5u); ++i)
-        cells.push_back("-");
-    tp.printRow(cells);
 }
 
 int
@@ -780,17 +794,17 @@ run(const Options &o)
                      static_cast<unsigned long long>(base.sim_instrs),
                      runner.jobs());
 
-        TablePrinter tp = resultTable();
-        tp.printHeader(o.sweep ? "tlpsim sweep" : "tlpsim run");
+        std::vector<OutcomeRow> rows;
         for (const auto &w : selected) {
             for (const auto &cfg : grid) {
                 const std::string key = singlePointKey(w, cfg);
-                if (!in_shard(key))
-                    continue;
-                printOutcomeRow(tp, w.name, cfg.scheme.name,
-                                runner.outcome(key));
+                if (in_shard(key))
+                    rows.push_back({w.name, cfg.scheme.name,
+                                    runner.outcome(key)});
             }
         }
+        printOutcomeTable(resultTable(),
+                          o.sweep ? "tlpsim sweep" : "tlpsim run", rows);
         return finish();
     }
 
@@ -873,17 +887,18 @@ run(const Options &o)
                  static_cast<unsigned long long>(base.sim_instrs),
                  runner.jobs());
 
-    TablePrinter tp = resultTable("mix", 24, /*per_core_ipc=*/true);
-    tp.printHeader(o.sweep ? "tlpsim mix sweep" : "tlpsim mix run");
+    std::vector<OutcomeRow> rows;
     for (const auto &mix : mixes) {
         for (const auto &cfg : grid) {
             const std::string key = mixPointKey(mix, cfg);
-            if (!in_shard(key))
-                continue;
-            printOutcomeRow(tp, mix.name, cfg.scheme.name,
-                            runner.outcome(key), /*per_core_ipc=*/true);
+            if (in_shard(key))
+                rows.push_back({mix.name, cfg.scheme.name,
+                                runner.outcome(key)});
         }
     }
+    printOutcomeTable(resultTable("mix", 24, /*per_core_ipc=*/true),
+                      o.sweep ? "tlpsim mix sweep" : "tlpsim mix run", rows,
+                      /*per_core_ipc=*/true);
     return finish();
 }
 

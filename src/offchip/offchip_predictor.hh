@@ -51,9 +51,9 @@ class OffChipPredictor
         std::string name = "flp";
         OffchipPolicy policy = OffchipPolicy::Selective;
         /** Immediate-fire threshold (Hermes τ_act / FLP τ_high). */
-        int tau_high = 26;
+        int tau_high = 30;
         /** Predicted-off-chip threshold (FLP τ_low; Hermes uses τ_high). */
-        int tau_low = 2;
+        int tau_low = 8;
         int training_threshold = 30;
         /** Table scaling for the Fig. 17 "+7KB Hermes" design. */
         unsigned table_scale_shift = 0;
@@ -78,6 +78,7 @@ class OffChipPredictor
     StorageBudget storage() const;
 
     const Params &params() const { return params_; }
+    OffchipPolicy policy() const { return params_.policy; }
 
     /** Threshold separating "predicted off-chip" from not. */
     int

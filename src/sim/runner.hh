@@ -9,13 +9,14 @@
  *
  *   - Jobs are keyed by a config fingerprint; submitting the same design
  *     point twice is a no-op, and results are memoized for the lifetime of
- *     the Runner (this replaces the per-bench static result caches).
- *   - Traces are recorded once through the mutex-guarded cache in
- *     sim/experiment.cc and shared read-only across workers.
+ *     the Runner.
+ *   - Each built-in trace is recorded once per process
+ *     (experiment::traceSource) and every job streams it through its own
+ *     reader.
  *   - get() blocks until the job completes; if the job is still queued,
  *     the calling thread claims and runs it inline (work stealing), so a
- *     Runner with TLPSIM_JOBS=1 spawns no threads and degenerates to the
- *     old sequential behaviour.
+ *     Runner with TLPSIM_JOBS=1 spawns no threads and runs each job on
+ *     the calling thread when its result is first asked for.
  *   - Results are keyed, not ordered by completion: benches render their
  *     tables by iterating their own loops, so output is bit-identical
  *     regardless of worker count.

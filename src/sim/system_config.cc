@@ -12,136 +12,32 @@ namespace tlpsim
 namespace
 {
 
-SchemeConfig
-makeBaseline()
-{
-    return {};
-}
-
-SchemeConfig
-makePpf()
-{
-    SchemeConfig s;
-    s.name = "ppf";
-    s.l2_filter = "ppf";
-    return s;
-}
-
-SchemeConfig
-makeHermes()
-{
-    SchemeConfig s;
-    s.name = "hermes";
-    s.offchip = "hermes";
-    s.offchip_policy = OffchipPolicy::Immediate;
-    s.tau_high = 4;   // Hermes' single activation threshold (aggressive)
-    return s;
-}
-
-SchemeConfig
-makeHermesPpf()
-{
-    SchemeConfig s = makeHermes();
-    s.name = "hermes+ppf";
-    s.l2_filter = "ppf";
-    return s;
-}
-
-SchemeConfig
-makeTlp()
-{
-    SchemeConfig s;
-    s.name = "tlp";
-    s.offchip = "flp";
-    s.offchip_policy = OffchipPolicy::Selective;
-    s.l1_filter = "slp";
-    s.slp_flp_feature = true;
-    return s;
-}
-
-SchemeConfig
-makeFlpOnly()
-{
-    SchemeConfig s;
-    s.name = "flp";
-    s.offchip = "flp";
-    s.offchip_policy = OffchipPolicy::Immediate;
-    s.tau_high = 4;   // without the delay mechanism FLP fires like Hermes
-    return s;
-}
-
-SchemeConfig
-makeSlpOnly()
-{
-    SchemeConfig s;
-    s.name = "slp";
-    s.l1_filter = "slp";
-    s.slp_flp_feature = false;   // no FLP exists to supply the feature
-    return s;
-}
-
-SchemeConfig
-makeTsp()
-{
-    SchemeConfig s;
-    s.name = "tsp";
-    s.offchip = "flp";
-    s.offchip_policy = OffchipPolicy::Immediate;
-    s.tau_high = 4;
-    s.l1_filter = "slp";
-    s.slp_flp_feature = false;
-    return s;
-}
-
-SchemeConfig
-makeDelayedTsp()
-{
-    SchemeConfig s;
-    s.name = "delayed_tsp";
-    s.offchip = "flp";
-    s.offchip_policy = OffchipPolicy::AlwaysDelay;
-    s.l1_filter = "slp";
-    s.slp_flp_feature = false;
-    return s;
-}
-
-SchemeConfig
-makeSelectiveTsp()
-{
-    SchemeConfig s;
-    s.name = "selective_tsp";
-    s.offchip = "flp";
-    s.offchip_policy = OffchipPolicy::Selective;
-    s.l1_filter = "slp";
-    s.slp_flp_feature = false;
-    return s;
-}
-
-SchemeConfig
-makeHermesPlus7kb()
-{
-    SchemeConfig s = makeHermes();
-    s.name = "hermes+7kb";
-    s.offchip_table_scale = 2;   // 4x tables ≈ +7.7 KB
-    return s;
-}
-
-/** Every named design point of the paper, keyed by scheme name. */
-const std::map<std::string, SchemeConfig (*)()> &
+/**
+ * Every named design point of the paper: the relative scheme keys its
+ * configs/<name>.conf file sets. A preset names its components and sets
+ * only the knobs where it departs from their declared defaults.
+ */
+const std::map<std::string, std::string> &
 presetTable()
 {
-    static const std::map<std::string, SchemeConfig (*)()> table = {
-        {"baseline", makeBaseline},
-        {"ppf", makePpf},
-        {"hermes", makeHermes},
-        {"hermes+ppf", makeHermesPpf},
-        {"tlp", makeTlp},
-        {"flp", makeFlpOnly},
-        {"slp", makeSlpOnly},
-        {"tsp", makeTsp},
-        {"delayed_tsp", makeDelayedTsp},
-        {"selective_tsp", makeSelectiveTsp},
-        {"hermes+7kb", makeHermesPlus7kb},
+    static const std::map<std::string, std::string> table = {
+        {"baseline", ""},
+        {"ppf", "l2_filter=ppf"},
+        {"hermes", "offchip=hermes"},
+        {"hermes+ppf", "offchip=hermes, l2_filter=ppf"},
+        {"tlp", "offchip=flp, l1_filter=slp"},
+        // Without the delay mechanism FLP fires like Hermes.
+        {"flp", "offchip=flp, offchip.policy=immediate, offchip.tau_high=4"},
+        // No FLP exists to supply SLP's FLP-output feature.
+        {"slp", "l1_filter=slp, l1_filter.use_flp_feature=false"},
+        {"tsp", "offchip=flp, offchip.policy=immediate, offchip.tau_high=4, "
+                "l1_filter=slp, l1_filter.use_flp_feature=false"},
+        {"delayed_tsp", "offchip=flp, offchip.policy=always_delay, "
+                        "l1_filter=slp, l1_filter.use_flp_feature=false"},
+        {"selective_tsp",
+         "offchip=flp, l1_filter=slp, l1_filter.use_flp_feature=false"},
+        // 4x predictor tables ≈ +7.7 KB.
+        {"hermes+7kb", "offchip=hermes, offchip.table_scale_shift=2"},
     };
     return table;
 }
@@ -160,24 +56,6 @@ renderComponentName(const std::string &name)
     static const std::string none = "none";
     return name.empty() ? none : name;
 }
-
-/** set(key, value) on @p out only when the schema is absent (component
- *  without declared knobs) or declares @p key — the named paper knobs
- *  (tau_high, table_scale_shift, ...) are injected only into components
- *  that consume them. */
-struct KnobInjector
-{
-    Config &out;
-    const KnobSchema *schema;
-
-    template <typename V>
-    void
-    operator()(const char *key, V &&value) const
-    {
-        if (schema == nullptr || schema->contains(key))
-            out.set(key, std::forward<V>(value));
-    }
-};
 
 /**
  * Knob-schema check of one forwarded component subtree: every key of
@@ -210,14 +88,16 @@ SchemeConfig::fromName(const std::string &name)
         throw ConfigError("unknown scheme '" + name
                           + "'; valid names: " + joinNames(names()));
     }
-    return it->second();
+    Config c = Config::parseAssignments(it->second, "scheme " + name);
+    c.set("name", name);
+    return fromConfig(c);
 }
 
 std::vector<std::string>
 SchemeConfig::names()
 {
     std::vector<std::string> out;
-    for (const auto &[n, fn] : presetTable())
+    for (const auto &[n, keys] : presetTable())
         out.push_back(n);
     return out;
 }
@@ -249,27 +129,14 @@ SchemeConfig::fromConfig(const Config &cfg, const SchemeConfig &defaults)
     SchemeConfig s = defaults;
     s.name = cfg.getString("name", s.name);
     s.offchip = normalizeComponentName(cfg.getString("offchip", s.offchip));
-    if (cfg.has("offchip_policy")) {
-        s.offchip_policy
-            = offchipPolicyFromString(cfg.getString("offchip_policy"));
-    }
-    s.tau_high = cfg.getInt32("tau_high", s.tau_high);
-    s.tau_low = cfg.getInt32("tau_low", s.tau_low);
-    s.offchip_training_threshold
-        = cfg.getInt32("offchip_training_threshold",
-                                      s.offchip_training_threshold);
-    s.offchip_table_scale = cfg.getUnsigned32("offchip_table_scale", s.offchip_table_scale);
     s.l1_filter
         = normalizeComponentName(cfg.getString("l1_filter", s.l1_filter));
-    s.slp_flp_feature = cfg.getBool("slp_flp_feature", s.slp_flp_feature);
-    s.slp_tau_pref
-        = cfg.getInt32("slp_tau_pref", s.slp_tau_pref);
     s.l2_filter
         = normalizeComponentName(cfg.getString("l2_filter", s.l2_filter));
 
-    // Arbitrary per-component subtrees overlay the defaults' subtrees;
-    // the keys are component-defined and validated (or defaulted) by the
-    // registry builder that receives them, not here.
+    // Per-component subtrees overlay the defaults' subtrees; the keys are
+    // component-defined and checked against the component's declared
+    // knobs below.
     s.offchip_params.merge(cfg.sub("offchip"));
     s.l1_filter_params.merge(cfg.sub("l1_filter"));
     s.l2_filter_params.merge(cfg.sub("l2_filter"));
@@ -286,19 +153,6 @@ SchemeConfig::fromConfig(const Config &cfg, const SchemeConfig &defaults)
                               + filterRegistry().namesLine());
         }
     }
-    if (s.hasOffchip() && s.offchip_policy == OffchipPolicy::None) {
-        throw ConfigError("scheme.offchip = '" + s.offchip
-                          + "' requires scheme.offchip_policy to be "
-                            "immediate, always_delay, or selective");
-    }
-    if (!s.hasOffchip() && s.offchip_policy != OffchipPolicy::None) {
-        throw ConfigError(std::string{"scheme.offchip_policy = '"}
-                          + toString(s.offchip_policy)
-                          + "' requires scheme.offchip to name a predictor "
-                            "(valid names: "
-                          + offchipRegistry().namesLine() + ")");
-    }
-
     // Unknown relative keys ("scheme.bogus") — everything understood was
     // consumed by a getter above or forwarded by a sub() — and the
     // misspelled-tuning-key net: every forwarded subtree key must be a
@@ -337,14 +191,7 @@ SchemeConfig::toConfig() const
     Config c;
     c.set("name", name);
     c.set("offchip", renderComponentName(offchip));
-    c.set("offchip_policy", toString(offchip_policy));
-    c.set("tau_high", tau_high);
-    c.set("tau_low", tau_low);
-    c.set("offchip_training_threshold", offchip_training_threshold);
-    c.set("offchip_table_scale", offchip_table_scale);
     c.set("l1_filter", renderComponentName(l1_filter));
-    c.set("slp_flp_feature", slp_flp_feature);
-    c.set("slp_tau_pref", slp_tau_pref);
     c.set("l2_filter", renderComponentName(l2_filter));
     for (const std::string &k : offchip_params.keys())
         c.set("offchip." + k, offchip_params.getString(k));
@@ -358,40 +205,19 @@ SchemeConfig::toConfig() const
 Config
 SchemeConfig::offchipBuildConfig() const
 {
-    Config oc;
-    if (!hasOffchip())
-        return oc;
-    KnobInjector inject{oc, offchipRegistry().knobs(offchip)};
-    inject("policy", toString(offchip_policy));
-    inject("tau_high", tau_high);
-    inject("tau_low", tau_low);
-    inject("training_threshold", offchip_training_threshold);
-    inject("table_scale_shift", offchip_table_scale);
-    oc.merge(offchip_params);
-    return oc;
+    return offchip_params;
 }
 
 Config
 SchemeConfig::l1FilterBuildConfig() const
 {
-    Config fc;
-    if (!hasL1Filter())
-        return fc;
-    KnobInjector inject{fc, filterRegistry().knobs(l1_filter)};
-    inject("tau_pref", slp_tau_pref);
-    inject("use_flp_feature", slp_flp_feature);
-    fc.merge(l1_filter_params);
-    return fc;
+    return l1_filter_params;
 }
 
 Config
 SchemeConfig::l2FilterBuildConfig() const
 {
-    Config fc;
-    if (!hasL2Filter())
-        return fc;
-    fc.merge(l2_filter_params);
-    return fc;
+    return l2_filter_params;
 }
 
 // ----------------------------------------------------------- SystemConfig
@@ -548,8 +374,6 @@ SystemConfig::fromConfig(const Config &cfg)
 
     c.l1_prefetcher = normalizeComponentName(
         cfg.getString("l1d.prefetcher", c.l1_prefetcher));
-    c.l1_pf_table_scale = getU32(cfg, "l1d.prefetcher_table_scale",
-                                 c.l1_pf_table_scale);
     c.l2_prefetcher = normalizeComponentName(
         cfg.getString("l2.prefetcher", c.l2_prefetcher));
     c.l1_pf_params.merge(cfg.sub("l1d.prefetcher"));
@@ -658,7 +482,6 @@ SystemConfig::toConfig() const
     c.set("core_ghz", core_ghz);
 
     c.set("l1d.prefetcher", renderComponentName(l1_prefetcher));
-    c.set("l1d.prefetcher_table_scale", l1_pf_table_scale);
     c.set("l2.prefetcher", renderComponentName(l2_prefetcher));
     for (const std::string &k : l1_pf_params.keys())
         c.set("l1d.prefetcher." + k, l1_pf_params.getString(k));
@@ -699,13 +522,7 @@ SystemConfig::toConfig() const
 Config
 SystemConfig::l1PrefetcherBuildConfig() const
 {
-    Config pc;
-    if (l1_prefetcher.empty())
-        return pc;
-    KnobInjector inject{pc, prefetcherRegistry().knobs(l1_prefetcher)};
-    inject("table_scale_shift", l1_pf_table_scale);
-    pc.merge(l1_pf_params);
-    return pc;
+    return l1_pf_params;
 }
 
 Config
@@ -716,8 +533,9 @@ SystemConfig::l2PrefetcherBuildConfig() const
         return pc;
     // The PPF-companion tuning (§V-E): with an L2 filter deployed the L2
     // prefetcher runs aggressive and lets the filter prune.
-    KnobInjector inject{pc, prefetcherRegistry().knobs(l2_prefetcher)};
-    inject("aggressive", scheme.hasL2Filter());
+    const KnobSchema *ks = prefetcherRegistry().knobs(l2_prefetcher);
+    if (ks == nullptr || ks->contains("aggressive"))
+        pc.set("aggressive", scheme.hasL2Filter());
     pc.merge(l2_pf_params);
     return pc;
 }

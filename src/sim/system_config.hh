@@ -23,8 +23,6 @@
 #include "common/config.hh"
 #include "core/core.hh"
 #include "mem/dram.hh"
-#include "offchip/offchip_predictor.hh"
-#include "offchip/slp.hh"
 #include "prefetch/factory.hh"
 #include "tlb/tlb.hh"
 
@@ -39,27 +37,18 @@ struct SchemeConfig
 
     /** Off-chip predictor registry name ("flp", "hermes"; "" = none). */
     std::string offchip;
-    OffchipPolicy offchip_policy = OffchipPolicy::None;
-    int tau_high = 30;   ///< FLP τ_high / Hermes activation threshold
-    int tau_low = 8;     ///< FLP τ_low (predicted-off-chip cut)
-    int offchip_training_threshold = 30;
-    unsigned offchip_table_scale = 0;   ///< Fig. 17 "+7KB Hermes"
-
     /** L1D prefetch-filter registry name ("slp"; "" = none). */
     std::string l1_filter;
-    bool slp_flp_feature = true;
-    int slp_tau_pref = 8;
-
     /** L2 prefetch-filter registry name ("ppf"; "" = none). */
     std::string l2_filter;
 
     /**
-     * Arbitrary per-component subtrees, forwarded verbatim to the
-     * registry builders on top of the named knobs above (subtree keys
-     * win). "scheme.offchip.table_scale_shift = 2" tunes the off-chip
-     * predictor without SchemeConfig having heard of the key — the
-     * point of the registry: new backends bring new knobs without core
-     * edits. Relative keys: "offchip.*", "l1_filter.*", "l2_filter.*".
+     * Per-component knob subtrees, forwarded verbatim to the registry
+     * builders over the component's declared schema defaults.
+     * "scheme.offchip.tau_high = 20" tunes the off-chip predictor without
+     * SchemeConfig having heard of the key — the point of the registry:
+     * new backends bring new knobs without core edits. Relative keys:
+     * "offchip.*", "l1_filter.*", "l2_filter.*".
      */
     Config offchip_params;
     Config l1_filter_params;
@@ -87,9 +76,9 @@ struct SchemeConfig
 
     // --- declarative config ---------------------------------------------
     /**
-     * Apply relative keys ("offchip", "tau_high", ...) over @p defaults;
-     * validates registry names, policy consistency, and — for every
-     * deployed component that declared a KnobSchema — the forwarded
+     * Apply relative keys ("offchip", "offchip.tau_high", ...) over
+     * @p defaults; validates registry names and — for every deployed
+     * component that declared a KnobSchema — the forwarded
      * subtree: unknown keys under "offchip.", "l1_filter.", "l2_filter."
      * and wrongly-typed values are collected across all three slots and
      * thrown as one ConfigError naming each offending key and the
@@ -106,9 +95,8 @@ struct SchemeConfig
     // --- component builder configs --------------------------------------
     /**
      * The exact Config the registry builder of each deployed slot
-     * receives (named knobs the component declares, overlaid with the
-     * forwarded subtree), minus the per-cpu stat "name" the Simulator
-     * injects. Shared by the Simulator (construction) and
+     * receives — the forwarded subtree — minus the per-cpu stat "name"
+     * the Simulator injects. Shared by the Simulator (construction) and
      * SystemConfig::effectiveConfig (fingerprinting), so the fingerprint
      * can never disagree with what is built.
      */
@@ -140,7 +128,6 @@ struct SystemConfig
 
     /** L1D prefetcher registry name ("" = none). */
     std::string l1_prefetcher = "ipcp";
-    unsigned l1_pf_table_scale = 0;     ///< Fig. 17 "+7KB IPCP/Berti"
     /** L2 prefetcher registry name ("" = none). */
     std::string l2_prefetcher = "spp";
     /** Arbitrary prefetcher subtrees ("l1d.prefetcher.*" /
@@ -176,17 +163,18 @@ struct SystemConfig
     /**
      * toConfig() with every deployed component's subtree expanded to its
      * full effective knob set: declared schema defaults overlaid with
-     * the named knobs and user-set subtree keys (the per-cpu stat "name"
-     * excluded). This is the Runner fingerprint (experiment::configKey):
-     * it captures effective — not just user-set — knob values, so a
-     * changed component default can never silently alias two different
-     * design points. Re-parsing an effectiveConfig() dump reproduces the
-     * same design point (expansion is idempotent).
+     * the builder config (the per-cpu stat "name" excluded). This is the
+     * Runner fingerprint (experiment::configKey): it captures effective —
+     * not just user-set — knob values, so a changed component default
+     * can never silently alias two different design points. Re-parsing
+     * an effectiveConfig() dump reproduces the same design point
+     * (expansion is idempotent).
      */
     Config effectiveConfig() const;
 
     /** Builder configs of the prefetcher slots (cf. the SchemeConfig
-     *  helpers): named knobs the component declares + forwarded subtree. */
+     *  helpers): the forwarded subtree, plus — for an L2 prefetcher that
+     *  declares it — "aggressive" when an L2 filter is deployed. */
     Config l1PrefetcherBuildConfig() const;
     Config l2PrefetcherBuildConfig() const;
 

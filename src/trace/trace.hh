@@ -202,8 +202,6 @@ class TraceReader
     /** Records consumed since construction (across passes). */
     std::uint64_t consumed() const { return consumed_; }
 
-    TraceSource &source() const { return *source_; }
-
   private:
     void refill();
 

@@ -51,8 +51,6 @@ class FileTraceSource final : public TraceSource
     const std::string &name() const override { return info_.name; }
     std::size_t read(TraceInstr *out, std::size_t n) override;
 
-    const TraceFileInfo &info() const { return info_; }
-
     /** Bytes of file data this source ever holds at once. */
     std::size_t chunkBytes() const { return raw_.size(); }
 

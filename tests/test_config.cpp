@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "sim/runner.hh"
 #include "sim/system_config.hh"
 #include "workloads/workload.hh"
@@ -52,11 +55,11 @@ TEST(Config, MergeLaterWins)
 
 TEST(Config, SubStripsPrefix)
 {
-    Config c = Config::parse("scheme.name = tlp\nscheme.tau_high = 9\n"
-                             "cores = 1\n");
+    Config c = Config::parse("scheme.name = tlp\n"
+                             "scheme.offchip.tau_high = 9\ncores = 1\n");
     Config s = c.sub("scheme");
     EXPECT_EQ(s.getString("name"), "tlp");
-    EXPECT_EQ(s.getInt("tau_high", 0), 9);
+    EXPECT_EQ(s.getInt("offchip.tau_high", 0), 9);
     EXPECT_FALSE(s.has("cores"));
 }
 
@@ -175,9 +178,10 @@ TEST(SystemConfig, SchemeShorthandSelectsPreset)
               SchemeConfig::fromName("tlp"));
 
     // Explicit scheme.* keys override the preset.
-    Config c2 = Config::parse("scheme = tlp\nscheme.tau_high = 11\n");
+    Config c2
+        = Config::parse("scheme = tlp\nscheme.offchip.tau_high = 11\n");
     SystemConfig cfg = SystemConfig::fromConfig(c2);
-    EXPECT_EQ(cfg.scheme.tau_high, 11);
+    EXPECT_EQ(cfg.scheme.offchipBuildConfig().getString("tau_high"), "11");
     EXPECT_EQ(cfg.scheme.offchip, "flp");
 }
 
@@ -200,10 +204,62 @@ TEST(SystemConfig, ShippedPresetFilesMatchCodePresets)
     }
 }
 
-// Arbitrary per-component subtrees: scheme.offchip.* / scheme.l1_filter.*
-// (and l1d.prefetcher.* / l2.prefetcher.*) keys the named knobs have
-// never heard of must round-trip, fingerprint distinctly, and reach the
-// registry builders.
+namespace
+{
+
+/** The effectiveConfig() lines of every component subtree, headed by
+ *  "== name": what each deployed component is built with. */
+std::string
+componentLines(const std::string &name, const SystemConfig &cfg)
+{
+    std::string out = "== " + name + "\n";
+    Config eff = cfg.effectiveConfig();
+    for (const std::string &k : eff.keys()) {
+        for (const char *slot : {"scheme.offchip.", "scheme.l1_filter.",
+                                 "scheme.l2_filter.", "l1d.prefetcher.",
+                                 "l2.prefetcher."}) {
+            if (k.starts_with(slot)) {
+                out += k + " = " + eff.getString(k) + "\n";
+                break;
+            }
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+// What every preset builds — each component's full knob set, from the
+// code preset and from its configs/ file — is pinned byte for byte in
+// tests/golden/preset_components.txt. A preset or component default that
+// changes what a paper scheme simulates fails here; on purpose, paste the
+// printed rendering into the golden file and explain the diff.
+TEST(SystemConfig, PresetComponentConfigsArePinned)
+{
+    std::ifstream in(std::string(TLPSIM_GOLDEN_DIR)
+                     + "/preset_components.txt");
+    ASSERT_TRUE(in) << "cannot read " << TLPSIM_GOLDEN_DIR;
+    std::stringstream golden;
+    golden << in.rdbuf();
+
+    std::string from_code;
+    std::string from_file;
+    for (const std::string &name : SchemeConfig::names()) {
+        SystemConfig cfg = SystemConfig::cascadeLake(1);
+        cfg.scheme = SchemeConfig::fromName(name);
+        from_code += componentLines(name, cfg);
+        from_file += componentLines(
+            name, SystemConfig::fromConfig(Config::parseFile(
+                      std::string(TLPSIM_CONFIGS_DIR) + "/" + name
+                      + ".conf")));
+    }
+    EXPECT_EQ(from_code, golden.str());
+    EXPECT_EQ(from_file, golden.str());
+}
+
+// Per-component subtrees: scheme.offchip.* / scheme.l1_filter.* (and
+// l1d.prefetcher.* / l2.prefetcher.*) keys must round-trip, fingerprint
+// distinctly, and reach the registry builders.
 TEST(SystemConfig, ComponentSubtreesRoundTripAndFingerprint)
 {
     Config c = Config::parse("scheme = tlp\n"
@@ -308,8 +364,7 @@ TEST(SystemConfig, UnknownPrefetcherListsRegistryNames)
 
 TEST(SystemConfig, UnknownOffchipPredictorListsRegistryNames)
 {
-    Config c = Config::parse("scheme.offchip = athena\n"
-                             "scheme.offchip_policy = immediate\n");
+    Config c = Config::parse("scheme.offchip = athena\n");
     try {
         SystemConfig::fromConfig(c);
         FAIL() << "expected ConfigError";
@@ -318,30 +373,6 @@ TEST(SystemConfig, UnknownOffchipPredictorListsRegistryNames)
         EXPECT_NE(msg.find("athena"), std::string::npos) << msg;
         EXPECT_NE(msg.find("flp"), std::string::npos) << msg;
         EXPECT_NE(msg.find("hermes"), std::string::npos) << msg;
-    }
-}
-
-TEST(SystemConfig, OffchipNameWithoutPolicyIsRejected)
-{
-    EXPECT_THROW(
-        SystemConfig::fromConfig(Config::parse("scheme.offchip = flp\n")),
-        ConfigError);
-    EXPECT_THROW(SystemConfig::fromConfig(
-                     Config::parse("scheme.offchip_policy = selective\n")),
-                 ConfigError);
-}
-
-TEST(SystemConfig, BadPolicyListsValidPolicies)
-{
-    Config c = Config::parse("scheme.offchip = flp\n"
-                             "scheme.offchip_policy = sometimes\n");
-    try {
-        SystemConfig::fromConfig(c);
-        FAIL() << "expected ConfigError";
-    } catch (const ConfigError &e) {
-        std::string msg = e.what();
-        EXPECT_NE(msg.find("sometimes"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("selective"), std::string::npos) << msg;
     }
 }
 

@@ -251,7 +251,6 @@ TEST(KnobSchema, FilterAndOffchipKnobsRoundTrip)
         ASSERT_NE(ks, nullptr) << name;
         Config c;
         c.set("scheme.offchip", name);
-        c.set("scheme.offchip_policy", "immediate");
         Config defs = ks->defaults();
         for (const std::string &k : defs.keys())
             c.set("scheme.offchip." + k, defs.getString(k));
@@ -266,9 +265,9 @@ TEST(KnobSchema, FingerprintExpandsSchemaDefaults)
     SystemConfig cfg = SystemConfig::cascadeLake(1);
     cfg.scheme = SchemeConfig::fromName("hermes");
     std::string key = experiment::configKey(cfg);
-    // Knobs the user never set appear at their effective values: the
-    // named preset knob (tau_high = 4) and a pure schema default
-    // (tau_low), so a changed component default changes the fingerprint.
+    // Knobs the user never set appear at their effective values (here
+    // the hermes schema defaults tau_high = 4 and tau_low), so a changed
+    // component default changes the fingerprint.
     EXPECT_NE(key.find("scheme.offchip.tau_high = 4"), std::string::npos)
         << key;
     EXPECT_NE(key.find("scheme.offchip.tau_low = "), std::string::npos)
@@ -277,6 +276,39 @@ TEST(KnobSchema, FingerprintExpandsSchemaDefaults)
         << key;
     // The per-cpu stat name is construction detail, not design point.
     EXPECT_EQ(key.find("scheme.offchip.name"), std::string::npos) << key;
+}
+
+// Naming only a component's slot builds it with exactly the defaults
+// `tlpsim --knobs` documents, for every registered component in every
+// slot it can fill.
+TEST(KnobSchema, NamingOnlyTheSlotExpandsToTheDeclaredDefaults)
+{
+    auto expect_defaults = [](const std::string &slot,
+                              const std::string &name,
+                              const KnobSchema *ks) {
+        if (ks == nullptr)
+            return;   // registered without a schema: nothing declared
+        Config c;
+        c.set(slot, name);
+        Config effective
+            = SystemConfig::fromConfig(c).effectiveConfig().sub(slot);
+        Config declared = ks->defaults();
+        declared.erase("name");
+        EXPECT_EQ(effective.serialize(), declared.serialize())
+            << slot << " = " << name;
+    };
+    for (const std::string &name : prefetcherRegistry().names()) {
+        for (const char *slot : {"l1d.prefetcher", "l2.prefetcher"})
+            expect_defaults(slot, name, prefetcherRegistry().knobs(name));
+    }
+    for (const std::string &name : filterRegistry().names()) {
+        for (const char *slot : {"scheme.l1_filter", "scheme.l2_filter"})
+            expect_defaults(slot, name, filterRegistry().knobs(name));
+    }
+    for (const std::string &name : offchipRegistry().names()) {
+        expect_defaults("scheme.offchip", name,
+                        offchipRegistry().knobs(name));
+    }
 }
 
 TEST(KnobSchema, EffectiveConfigIsIdempotentForEveryPreset)

@@ -24,8 +24,8 @@ itself a finding, so the idiom stays uniform.
 It also validates the shipped presets (configs/*.conf): component
 slots must name registered components, subtree knob keys
 (`scheme.offchip.<k>`, ...) must be declared by the named component's
-schema, and `scheme.offchip_policy` values must be among the declared
-choices.
+schema, and a subtree value of a knob with declared choices must be one
+of them.
 """
 
 import re
@@ -402,16 +402,12 @@ def _audit_presets(project, components, report):
                         f"preset key {key}: '{knob}' is not a declared "
                         f"knob of {kind} '{name}' "
                         f"(declared: {', '.join(comp['knobs'])})"))
-            if key == "scheme.offchip_policy":
-                name = slot_values.get("scheme.offchip", ("", 0))[0]
-                comp = by_name.get(("offchip", name))
-                choices = (comp or {}).get("choices", {}).get("policy")
-                if choices and value not in choices:
+                elif value not in comp["choices"].get(knob, [value]):
                     report.add(Finding(
                         CHECK, rel, lineno,
-                        f"preset sets scheme.offchip_policy={value}, "
-                        f"not among the declared choices "
-                        f"{{{', '.join(choices)}}}"))
+                        f"preset sets {key}={value}, not among the "
+                        f"choices {kind} '{name}' declares "
+                        f"{{{', '.join(comp['choices'][knob])}}}"))
     return [project.rel(p) for p in presets]
 
 

@@ -166,6 +166,7 @@ class ThingPrefetcher
         unsigned degree = 1;
         unsigned stride = 4;
         unsigned hidden = 7;
+        std::string mode = "eager";
     };
 
     explicit ThingPrefetcher(const Params &p) : degree_(p.degree) {}
@@ -192,6 +193,7 @@ thingKnobs()
             {"degree", d.degree, "lines ahead"},
             {"stride", 4u, "literal default: the drift vector"},
             {"ghost", 1u, "declared but never extracted"},
+            {"mode", d.mode, "issue mode", {"eager", "lazy"}},
         };
     }();
     return schema;
@@ -208,6 +210,7 @@ registerThing()
             ThingPrefetcher::Params p;
             p.degree = k.u32("degree");
             p.stride = k.u32("bonus");
+            p.mode = k.str("mode");
             return std::make_unique<ThingPrefetcher>(p);
         });
 }
@@ -217,6 +220,7 @@ SCHEMA_CONF_BAD = """\
 l1d.prefetcher = thing
 l1d.prefetcher.degree = 2
 l1d.prefetcher.mystery = 3
+l1d.prefetcher.mode = sometimes
 l2.prefetcher = nosuch
 """
 
@@ -511,6 +515,9 @@ FIXTURES = [
              "Params.hidden has no declared knob"),
             ("configs/fixture.conf", "l1d.prefetcher.mystery",
              "'mystery' is not a declared knob"),
+            ("configs/fixture.conf", "l1d.prefetcher.mode",
+             "l1d.prefetcher.mode=sometimes, not among the choices "
+             "prefetcher 'thing' declares {eager, lazy}"),
             ("configs/fixture.conf", "l2.prefetcher = nosuch",
              "unregistered prefetcher 'nosuch'"),
         ],
